@@ -25,7 +25,7 @@ from .numerics import (
     peak_shift_2d,
     top_l_indices,
 )
-from .sensing import GroundTruth, Offset, shift_indices
+from .sensing import GroundTruth, Offset, roll_map, shift_indices
 
 __all__ = [
     "EstimatorInput",
@@ -141,36 +141,97 @@ def joint_column_support(Y: list[np.ndarray], n_columns: int) -> np.ndarray:
     return top_l_indices(power, n_columns)
 
 
-def _omp(
-    y: np.ndarray, a: np.ndarray, budget: int, stop_threshold: float | None = None
-) -> tuple[np.ndarray, np.ndarray, bool, float]:
-    """Greedy matching pursuit with least-squares refit on the sorted support.
+def _batched_lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares for a stack of systems subs[i] @ x ~= ys[i]; returns (x, rank_deficient).
 
-    Returns (support, coefficients, rank_deficient, final residual norm).
-    Stops early when the residual carries no correlation mass, so a zero input
-    yields an empty support; with stop_threshold set, also stops once the
-    residual norm falls below it.
+    One stacked QR solves every system.  A system with more unknowns than rows,
+    or whose smallest |diag R| is at most eps * T * max|diag R|, is re-solved
+    by ls_solve, which supplies its rank flag and minimum-norm solution.
     """
-    support: list[int] = []
-    coef = np.zeros(0, dtype=complex)
-    resid = np.array(y, dtype=complex, copy=True)
-    rank_flag = False
-    for _ in range(int(budget)):
-        if stop_threshold is not None and float(np.linalg.norm(resid)) < stop_threshold:
+    m, t, k = subs.shape
+    coef = np.zeros((m, k), dtype=complex)
+    deficient = np.full(m, k > t)
+    if 0 < k <= t:
+        q, r = np.linalg.qr(subs)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        deficient = diag.min(axis=1) <= np.finfo(float).eps * t * diag.max(axis=1)
+        r[deficient] = np.eye(k)  # placeholder; those systems are re-solved below
+        coef = np.linalg.solve(r, q.conj().transpose(0, 2, 1) @ ys[:, :, None])[:, :, 0]
+    for i in np.flatnonzero(deficient):
+        coef[i], deficient[i] = ls_solve(subs[i], ys[i])
+    return coef, deficient
+
+
+def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=None) -> list[dict]:
+    """Greedy pursuit of B problems in lockstep against one dictionary a (T x N).
+
+    Problem b fits the C columns Y[:, b, :] (Y is T x B x C) with one anchor
+    set; column c uses rows rolls[c][anchors] (the anchors themselves when
+    rolls is None).  Each step takes one a^H @ R product over the active
+    problems, scores every unused anchor by its correlation power summed over
+    the columns at its rolled rows, picks the first maximum per problem, then
+    refits every column by least squares on its sorted rows.  Problem b stops
+    after budgets[b] anchors, when its best score is not positive (a zero
+    residual), or once every column residual norm is below stop_threshold.
+    Returns one offset_structured_somp result per problem.
+    """
+    t, n = a.shape
+    _, n_prob, n_cols = Y.shape
+    if rolls is None:
+        rolls = np.broadcast_to(np.arange(n), (n_cols, n))
+    budgets = np.asarray(budgets, dtype=int)
+    kmax = int(budgets.max(initial=0))
+    atoms = np.ascontiguousarray(a.T)
+    atoms_h = atoms.conj()
+    ys = np.ascontiguousarray(np.moveaxis(Y, 0, -1), dtype=complex)  # B x C x T
+    resid = ys.copy()
+    rows = np.zeros((n_prob, n_cols, kmax), dtype=int)
+    coef = np.zeros((n_prob, n_cols, kmax), dtype=complex)
+    anchors, history = np.zeros((n_prob, kmax), dtype=int), np.zeros((n_prob, kmax, n_cols))
+    count = np.zeros(n_prob, dtype=int)
+    deficient = np.zeros(n_prob, dtype=bool)
+    used = np.zeros((n, n_prob), dtype=bool)
+    live = np.arange(n_prob)
+    for k in range(kmax):
+        live = live[budgets[live] > k]
+        if stop_threshold is not None:
+            below = np.linalg.norm(resid[live], axis=-1) < stop_threshold
+            live = live[~np.all(below, axis=1)]
+        if live.size == 0:
             break
-        metric = np.abs(a.conj().T @ resid) ** 2
-        if support:
-            metric[support] = -np.inf
-        best = int(np.argmax(metric))
-        if not (metric[best] > 0.0):
+        power = (np.abs(atoms_h @ resid[live].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
+        metric = power[rolls[0], :, 0]
+        for c in range(1, n_cols):
+            metric = metric + power[rolls[c], :, c]
+        metric[used[:, live]] = -np.inf
+        best = np.argmax(metric, axis=0)
+        hit = metric[best, np.arange(live.size)] > 0.0
+        live, best = live[hit], best[hit]
+        if live.size == 0:
             break
-        support.append(best)
-        support.sort()
-        sub = a[:, support]
-        coef, deficient = ls_solve(sub, y)
-        rank_flag = rank_flag or deficient
-        resid = y - sub @ coef
-    return np.asarray(support, dtype=int), coef, rank_flag, float(np.linalg.norm(resid))
+        used[best, live] = True
+        picks = np.sort(np.column_stack([anchors[live, :k], best]), axis=1)
+        picked = np.sort(np.moveaxis(rolls[:, picks], 0, 1), axis=-1)  # live x C x (k+1)
+        subs = np.swapaxes(atoms[picked], -1, -2).reshape(-1, t, k + 1)
+        y_live = ys[live].reshape(-1, t)
+        x, flags = _batched_lstsq(subs, y_live)
+        resid[live] = (y_live - (subs @ x[:, :, None])[:, :, 0]).reshape(-1, n_cols, t)
+        del subs
+        anchors[live, : k + 1], rows[live, :, : k + 1] = picks, picked
+        coef[live, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
+        history[live, k] = np.linalg.norm(resid[live], axis=-1)
+        count[live] = k + 1
+        deficient[live] |= flags.reshape(-1, n_cols).any(axis=1)
+    return [
+        {
+            "anchors": anchors[b, :m].copy(),
+            "columns": [(rows[b, c, :m].copy(), coef[b, c, :m].copy()) for c in range(n_cols)],
+            "residual_history": history[b, :m].copy(),
+            "rank_deficient": bool(deficient[b]),
+            "group_collision": bool(np.any(np.diff(rows[b, :, :m], axis=1) == 0)),
+        }
+        for b, m in enumerate(count)
+    ]
 
 
 def coarse_omp(
@@ -187,9 +248,10 @@ def coarse_omp(
         raise ValueError(f"incompatible shapes {a.shape} and {y.shape}")
     if sparsity < 0:
         raise ValueError("sparsity must be non-negative")
-    support, coef, _, _ = _omp(y, a, sparsity, stop_threshold)
+    fit = _pursue(a, y[:, None, None], [sparsity], stop_threshold=stop_threshold)[0]
+    rows, coef = fit["columns"][0]
     out = np.zeros(a.shape[1], dtype=complex)
-    out[support] = coef
+    out[rows] = coef
     return out
 
 
@@ -228,16 +290,6 @@ def estimate_common_offsets(
     return offsets
 
 
-def _rolled(corr: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    """rolled[p] = corr[(p + offset) mod n], wrapping each axis for planar arrays."""
-    if geometry.is_planar:
-        d1, d2 = offset
-        return np.roll(
-            corr.reshape(geometry.n1, geometry.n2), (-int(d1), -int(d2)), axis=(0, 1)
-        ).ravel()
-    return np.roll(corr, -int(offset))
-
-
 def offset_structured_somp(
     y_cols: np.ndarray,
     a: np.ndarray,
@@ -260,51 +312,36 @@ def offset_structured_somp(
     a = np.asarray(a)
     if y_cols.ndim != 2 or y_cols.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {y_cols.shape}")
-    n_cols = y_cols.shape[1]
-    if len(offsets) != n_cols:
+    if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
-    n = a.shape[1]
-    anchors: list[int] = []
-    resids = np.array(y_cols, dtype=complex, copy=True)
-    column_fits: list[tuple[np.ndarray, np.ndarray]] = [
-        (np.zeros(0, dtype=int), np.zeros(0, dtype=complex)) for _ in range(n_cols)
-    ]
-    history: list[list[float]] = []
-    rank_flag = False
-    collision = False
-    for _ in range(int(n_rows)):
-        if stop_threshold is not None and all(
-            float(np.linalg.norm(resids[:, j])) < stop_threshold for j in range(n_cols)
-        ):
-            break
-        metric = np.zeros(n)
-        for j in range(n_cols):
-            corr = a.conj().T @ resids[:, j]
-            metric += np.abs(_rolled(corr, offsets[j], geometry)) ** 2
-        if anchors:
-            metric[anchors] = -np.inf
-        best = int(np.argmax(metric))
-        if not (metric[best] > 0.0):
-            break
-        anchors.append(best)
-        anchors.sort()
-        anchor_arr = np.asarray(anchors, dtype=int)
-        for j in range(n_cols):
-            rows = np.unique(shift_indices(anchor_arr, offsets[j], geometry))
-            if rows.size < anchor_arr.size:
-                collision = True
-            coef, deficient = ls_solve(a[:, rows], y_cols[:, j])
-            rank_flag = rank_flag or deficient
-            resids[:, j] = y_cols[:, j] - a[:, rows] @ coef
-            column_fits[j] = (rows, coef)
-        history.append([float(np.linalg.norm(resids[:, j])) for j in range(n_cols)])
-    return {
-        "anchors": np.asarray(anchors, dtype=int),
-        "columns": column_fits,
-        "residual_history": np.asarray(history, dtype=float).reshape(len(history), n_cols),
-        "rank_deficient": rank_flag,
-        "group_collision": collision,
-    }
+    rolls = np.stack([roll_map(offset, geometry) for offset in offsets])
+    return _pursue(a, y_cols[:, None, :], [n_rows], rolls, stop_threshold)[0]
+
+
+def _column_pursuits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> tuple[list, bool]:
+    """Per-user estimates from independent single-column pursuits of columns col_sets[k].
+
+    Also returns whether any refit was rank deficient.  The problems run
+    user-major in one batch, so every caller lays them out the same way.
+    """
+    per_user = len(col_sets[0])
+    Y = np.stack([Y_k[:, cols] for Y_k, cols in zip(inp.Y, col_sets)], axis=1)
+    budgets = np.repeat(inp.row_counts, per_user)
+    fits = _pursue(inp.sensing_matrix, Y.reshape(Y.shape[0], -1, 1), budgets)
+    columns = [fit["columns"][0] for fit in fits]
+    per_user_columns = [columns[k : k + per_user] for k in range(0, len(columns), per_user)]
+    return _assemble(inp, col_sets, per_user_columns), any(fit["rank_deficient"] for fit in fits)
+
+
+def _assemble(inp: EstimatorInput, col_sets, columns) -> list[np.ndarray]:
+    """Dense per-user estimates: user k's fit columns[k][j] fills column col_sets[k][j]."""
+    H_hat = []
+    for cols, fits in zip(col_sets, columns):
+        H_k = np.zeros((inp.geometry.n_elements, inp.Y[0].shape[1]), dtype=complex)
+        for c, (rows, coef) in zip(cols, fits):
+            H_k[rows, c] = coef
+        H_hat.append(H_k)
+    return H_hat
 
 
 def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
@@ -317,45 +354,29 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     occupied column the offset is zero by definition and the coarse pass is
     skipped.
     """
-    a = inp.sensing_matrix
-    n = a.shape[1]
-    n_bs = inp.Y[0].shape[1]
     cols = joint_column_support(inp.Y, inp.n_columns)
-    diagnostics: dict = {"offset_fallback": [], "rank_deficient": False, "group_collision": False}
+    col_sets = [cols] * len(inp.Y)
+    diagnostics: dict = {"offset_fallback": []}
     if inp.n_columns == 1:
         offsets: list[Offset] = [_zero(inp.geometry)]
     else:
-        coarse_cols = []
-        for k, Y_k in enumerate(inp.Y):
-            h0 = np.column_stack(
-                [coarse_omp(Y_k[:, c], a, inp.row_counts[k]) for c in cols]
-            )
-            coarse_cols.append(h0)
+        coarse, _ = _column_pursuits(inp, col_sets)
         try:
-            offsets = estimate_common_offsets(coarse_cols, inp.geometry)
+            offsets = estimate_common_offsets([H_k[:, cols] for H_k in coarse], inp.geometry)
         except OffsetUndetermined as err:
             offsets = err.offsets
             diagnostics["offset_fallback"] = list(err.failed)
-    H_hat = []
-    row_patterns = []
-    residual_histories = []
-    for k, Y_k in enumerate(inp.Y):
-        fit = offset_structured_somp(Y_k[:, cols], a, offsets, inp.row_counts[k], inp.geometry)
-        H_k = np.zeros((n, n_bs), dtype=complex)
-        for j, c in enumerate(cols):
-            rows, coef = fit["columns"][j]
-            H_k[rows, c] = coef
-        H_hat.append(H_k)
-        row_patterns.append(fit["anchors"])
-        residual_histories.append(fit["residual_history"])
-        diagnostics["rank_deficient"] = diagnostics["rank_deficient"] or fit["rank_deficient"]
-        diagnostics["group_collision"] = diagnostics["group_collision"] or fit["group_collision"]
-    diagnostics["residual_history"] = residual_histories
+    rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
+    Y = np.stack([Y_k[:, cols] for Y_k in inp.Y], axis=1)
+    fits = _pursue(inp.sensing_matrix, Y, inp.row_counts, rolls)
+    diagnostics["rank_deficient"] = any(fit["rank_deficient"] for fit in fits)
+    diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
+    diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
     return EstimateReport(
-        H_hat=H_hat,
+        H_hat=_assemble(inp, col_sets, [fit["columns"] for fit in fits]),
         col_support=cols,
         offsets=offsets,
-        row_patterns=row_patterns,
+        row_patterns=[fit["anchors"] for fit in fits],
         diagnostics=diagnostics,
     )
 
@@ -367,19 +388,8 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     user's retained columns are then recovered independently by per-column
     OMP, with no offset coupling between columns.
     """
-    a = inp.sensing_matrix
-    n = a.shape[1]
-    n_bs = inp.Y[0].shape[1]
     cols = joint_column_support(inp.Y, inp.n_columns)
-    H_hat = []
-    rank_flag = False
-    for k, Y_k in enumerate(inp.Y):
-        H_k = np.zeros((n, n_bs), dtype=complex)
-        for c in cols:
-            support, coef, deficient, _ = _omp(Y_k[:, c], a, inp.row_counts[k])
-            rank_flag = rank_flag or deficient
-            H_k[support, c] = coef
-        H_hat.append(H_k)
+    H_hat, rank_flag = _column_pursuits(inp, [cols] * len(inp.Y))
     return EstimateReport(
         H_hat=H_hat,
         col_support=cols,
@@ -396,26 +406,11 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     support) and recovers each retained column independently, so the total
     atom budget per user is n_columns * row_count.
     """
-    a = inp.sensing_matrix
-    n = a.shape[1]
-    n_bs = inp.Y[0].shape[1]
-    H_hat = []
-    rank_flag = False
-    supports = []
-    for k, Y_k in enumerate(inp.Y):
-        power = np.sum(np.abs(Y_k) ** 2, axis=0)
-        cols_k = top_l_indices(power, inp.n_columns)
-        supports.append(cols_k)
-        H_k = np.zeros((n, n_bs), dtype=complex)
-        for c in cols_k:
-            support, coef, deficient, _ = _omp(Y_k[:, c], a, inp.row_counts[k])
-            rank_flag = rank_flag or deficient
-            H_k[support, c] = coef
-        H_hat.append(H_k)
-    col_support = np.unique(np.concatenate(supports))
+    supports = [top_l_indices(np.sum(np.abs(Y_k) ** 2, axis=0), inp.n_columns) for Y_k in inp.Y]
+    H_hat, rank_flag = _column_pursuits(inp, supports)
     return EstimateReport(
         H_hat=H_hat,
-        col_support=col_support,
+        col_support=np.unique(np.concatenate(supports)),
         offsets=None,
         row_patterns=None,
         diagnostics={"rank_deficient": rank_flag, "per_user_col_support": supports},
@@ -425,19 +420,23 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:
     """Least squares on the true supports; the performance bound for support-aware recovery."""
     a = inp.sensing_matrix
-    n = a.shape[1]
     n_bs = inp.Y[0].shape[1]
-    H_hat = []
+    systems = [
+        (k, c, shift_indices(pattern, truth.offsets[j], inp.geometry))
+        for k, pattern in enumerate(truth.row_patterns)
+        for j, c in enumerate(truth.col_support)
+    ]
+    H_hat = [np.zeros((inp.geometry.n_elements, n_bs), dtype=complex) for _ in inp.Y]
     rank_flag = False
-    for k, Y_k in enumerate(inp.Y):
-        pattern = truth.row_patterns[k]
-        H_k = np.zeros((n, n_bs), dtype=complex)
-        for j, c in enumerate(truth.col_support):
-            rows = shift_indices(pattern, truth.offsets[j], inp.geometry)
-            coef, deficient = ls_solve(a[:, rows], Y_k[:, c])
-            rank_flag = rank_flag or deficient
-            H_k[rows, c] = coef
-        H_hat.append(H_k)
+    for size in sorted({rows.size for _, _, rows in systems}):
+        group = [system for system in systems if system[2].size == size]
+        coef, deficient = _batched_lstsq(
+            np.stack([a[:, rows] for _, _, rows in group]),
+            np.stack([inp.Y[k][:, c] for k, c, _ in group]),
+        )
+        rank_flag = rank_flag or bool(deficient.any())
+        for (k, c, rows), x in zip(group, coef):
+            H_hat[k][rows, c] = x
     return EstimateReport(
         H_hat=H_hat,
         col_support=np.array(truth.col_support, dtype=int, copy=True),

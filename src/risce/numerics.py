@@ -40,11 +40,10 @@ def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"expected equal-length vectors, got {u.shape} and {v.shape}")
-    n = u.size
-    if n == 0:
+    if u.size == 0:
         raise ValueError("vectors must be non-empty")
-    rows = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n  # rows[d, m] = (m + d) % n
-    return np.abs(v[rows] @ np.conj(u))
+    # correlation theorem: the DFT of c is conj(U) * V
+    return np.abs(np.fft.ifft(np.conj(np.fft.fft(u)) * np.fft.fft(v)))
 
 
 def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -56,15 +55,9 @@ def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if u.ndim != 2 or u.shape != v.shape:
         raise ValueError(f"expected equal-shape matrices, got {u.shape} and {v.shape}")
-    n1, n2 = u.shape
-    uc = np.conj(u)
-    cols = (np.arange(n2)[:, None] + np.arange(n2)[None, :]) % n2  # cols[m2, d2] = (m2 + d2) % n2
-    row_sel = np.arange(n2)[:, None]
-    out = np.empty((n1, n2))
-    for d1 in range(n1):
-        partial = uc.T @ np.roll(v, -d1, axis=0)  # partial[m2, j2] = sum_m1 conj(u[m1, m2]) v[(m1+d1)%n1, j2]
-        out[d1] = np.abs(partial[row_sel, cols].sum(axis=0))
-    return out
+    if u.size == 0:
+        raise ValueError("matrices must be non-empty")
+    return np.abs(np.fft.ifft2(np.conj(np.fft.fft2(u)) * np.fft.fft2(v)))
 
 
 def ls_solve(a_sub: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -88,14 +88,22 @@ def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, setup: SensingSetup) -> n
     return setup.f_ris @ spatial.conj().T @ setup.f_bs.conj().T
 
 
-def shift_indices(indices: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    """Circularly shift flat element indices by an offset (per axis for planar arrays)."""
-    idx = np.asarray(indices, dtype=int)
+def _shift(idx: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
     if geometry.is_planar:
         d1, d2 = offset
         r1, r2 = np.divmod(idx, geometry.n2)
-        return np.sort(((r1 + int(d1)) % geometry.n1) * geometry.n2 + (r2 + int(d2)) % geometry.n2)
-    return np.sort((idx + int(offset)) % geometry.n_elements)
+        return ((r1 + int(d1)) % geometry.n1) * geometry.n2 + (r2 + int(d2)) % geometry.n2
+    return (idx + int(offset)) % geometry.n_elements
+
+
+def shift_indices(indices: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
+    """Circularly shift flat element indices by an offset (per axis for planar arrays)."""
+    return np.sort(_shift(np.asarray(indices, dtype=int), offset, geometry))
+
+
+def roll_map(offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
+    """Unsorted shift of every element: roll[p] is the index p moves to under the offset."""
+    return _shift(np.arange(geometry.n_elements), offset, geometry)
 
 
 def _column_shift(ref: np.ndarray, col: np.ndarray, geometry: ArrayGeometry) -> Offset:

@@ -10,6 +10,8 @@ from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
     EstimatorInput,
     OffsetUndetermined,
+    _batched_lstsq,
+    _pursue,
     coarse_omp,
     estimate_common_offsets,
     estimate_conventional_omp,
@@ -332,6 +334,113 @@ class TestOffsetStructuredSomp:
             )
 
 
+class TestPursuitKernel:
+    """Edge cases of the lockstep kernel, each inside one batch of problems."""
+
+    @staticmethod
+    def support(fit, column=0):
+        return fit["columns"][column][0].tolist()
+
+    def test_duplicate_atoms_tie_to_smallest_index(self):
+        # atoms 4 and 5 duplicate atoms 1 and 2 exactly, so every score ties
+        a = np.eye(4, 6, dtype=complex)
+        a[:, 4], a[:, 5] = a[:, 1], a[:, 2]
+        Y = np.zeros((4, 3, 1), dtype=complex)
+        Y[[1, 3], 0, 0] = [2.0, 1.0]
+        Y[2, 1, 0] = 1.0j
+        Y[[1, 2], 2, 0] = [1.0, 1.0]
+        fits = _pursue(a, Y, [2, 2, 2])
+        assert [self.support(fit) for fit in fits] == [[1, 3], [2], [1, 2]]
+        for b, fit in enumerate(fits):
+            assert self.support(fit) == np.flatnonzero(coarse_omp(Y[:, b, 0], a, 2)).tolist()
+
+    def test_rank_deficient_support_falls_back_to_minimum_norm(self):
+        # column 1 is shifted by one row, so anchors {0, 2} select its rows
+        # {1, 3}, and atom 3 duplicates atom 1: that column's system is singular
+        a = np.eye(4, dtype=complex)
+        a[:, 3] = a[:, 1]
+        Y = np.zeros((4, 3, 2), dtype=complex)
+        Y[[0, 2], 0, 0], Y[1, 0, 1] = [4.0, 2.0], 1.0
+        Y[[1, 2], 1, 0] = [2.0, 3.0]  # anchors {1, 2}: rows {2, 3}, full rank
+        rolls = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
+        fits = _pursue(a, Y, [2, 2, 2], rolls)
+        deficient = fits[0]
+        assert deficient["anchors"].tolist() == [0, 2]
+        assert deficient["rank_deficient"]
+        rows, coef = deficient["columns"][1]
+        assert rows.tolist() == [1, 3]
+        npt.assert_array_equal(coef, np.linalg.lstsq(a[:, rows], Y[:, 0, 1], rcond=None)[0])
+        assert fits[1]["anchors"].tolist() == [1, 2]
+        assert not fits[1]["rank_deficient"]
+        assert not fits[2]["rank_deficient"] and fits[2]["anchors"].size == 0
+
+    def test_zero_input_next_to_live_problems(self):
+        rng = np.random.default_rng(7)
+        a = unit_column_dictionary(rng, 16, 32)
+        Y = np.zeros((16, 3, 1), dtype=complex)
+        Y[:, 0, 0] = a[:, 3] - 2.0 * a[:, 17]
+        Y[:, 2, 0] = 0.5j * a[:, 9]
+        fits = _pursue(a, Y, [4, 4, 4])
+        assert fits[1]["anchors"].size == 0
+        assert fits[1]["columns"][0][0].size == 0
+        assert fits[1]["residual_history"].shape == (0, 1)
+        assert set(self.support(fits[0])) >= {3, 17}
+        assert set(self.support(fits[2])) >= {9}
+
+    def test_each_problem_stops_at_its_own_budget(self):
+        rng = np.random.default_rng(8)
+        a = unit_column_dictionary(rng, 32, 64)
+        budgets = [4, 5, 6, 7, 8]
+        Y = rng.standard_normal((32, 5, 1)) + 1j * rng.standard_normal((32, 5, 1))
+        fits = _pursue(a, Y, budgets)
+        for b, (fit, budget) in enumerate(zip(fits, budgets)):
+            assert fit["anchors"].size == budget
+            assert fit["residual_history"].shape == (budget, 1)
+            single = coarse_omp(Y[:, b, 0], a, budget)
+            rows, coef = fit["columns"][0]
+            npt.assert_array_equal(rows, np.flatnonzero(single))
+            npt.assert_allclose(coef, single[rows], rtol=0, atol=1e-12)
+
+    def test_stop_threshold_ends_each_pursuit_at_the_noise_floor(self):
+        rng = np.random.default_rng(9)
+        t, n, n_prob, sigma2 = 32, 128, 10, 0.01
+        a = (rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))) / np.sqrt(2 * t)
+        Y = np.sqrt(sigma2 / 2) * (
+            rng.standard_normal((t, n_prob, 1)) + 1j * rng.standard_normal((t, n_prob, 1))
+        )
+        supports = []
+        for b in range(n_prob):
+            support = np.sort(rng.choice(n, size=3, replace=False))
+            gains = 4.0 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            Y[:, b, 0] += a[:, support] @ gains
+            supports.append(set(support.tolist()))
+        threshold = residual_stop_threshold(sigma2, t)
+        fits = _pursue(a, Y, [t] * n_prob, stop_threshold=threshold)
+        assert max(fit["anchors"].size for fit in fits) <= 4
+        assert sum(truth <= set(self.support(fit)) for truth, fit in zip(supports, fits)) >= 9
+        for b, fit in enumerate(fits):
+            single = coarse_omp(Y[:, b, 0], a, t, stop_threshold=threshold)
+            assert self.support(fit) == np.flatnonzero(single).tolist()
+
+    def test_batched_lstsq_matches_lstsq_and_flags_singular_systems(self):
+        rng = np.random.default_rng(10)
+        subs = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
+        subs[1, :, 1] = subs[1, :, 0]
+        ys = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        coef, deficient = _batched_lstsq(subs, ys)
+        assert deficient.tolist() == [False, True, False]
+        for i in range(3):
+            expected = np.linalg.lstsq(subs[i], ys[i], rcond=None)[0]
+            npt.assert_allclose(coef[i], expected, rtol=0, atol=1e-12)
+        npt.assert_array_equal(coef[1], np.linalg.lstsq(subs[1], ys[1], rcond=None)[0])
+        # more unknowns than rows is rank deficient whatever the values
+        wide = subs[:, :2, :].repeat(2, axis=2)[:, :, :3]
+        coef, deficient = _batched_lstsq(wide, ys[:, :2])
+        assert deficient.all()
+        for i in range(3):
+            npt.assert_array_equal(coef[i], np.linalg.lstsq(wide[i], ys[i, :2], rcond=None)[0])
+
+
 class TestTripleStructured:
     def test_noiseless_exact_recovery(self):
         cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
@@ -418,6 +527,18 @@ class TestOracleLs:
             err10 = nmse_linear(estimate_oracle_ls(inp10, truth10).H_hat, truth10.H)
             ratios.append(err0 / err10)
         npt.assert_allclose(ratios, 10.0, rtol=1e-9)
+
+    def test_rank_deficient_systems_are_flagged(self):
+        # two pilots cannot resolve four or more rows: every system is singular
+        cfg = dataclasses.replace(SystemConfig(), n_pilots=2)
+        with pytest.warns(RuntimeWarning):
+            _, setup, truth, meas, inp = build_trial(cfg)
+        report = estimate_oracle_ls(inp, truth)
+        assert report.diagnostics["rank_deficient"]
+        c = truth.col_support[0]
+        rows = truth.row_patterns[0]
+        expected = np.linalg.lstsq(setup.sensing_matrix[:, rows], meas.Y[0][:, c], rcond=None)[0]
+        npt.assert_array_equal(report.H_hat[0][rows, c], expected)
 
     def test_structure_fields_copy_truth(self):
         _, _, truth, _, inp = build_trial(SystemConfig())

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from risce.config import SystemConfig
-from risce.harness import run_trial
+from risce.harness import ESTIMATORS, nmse_linear
+from util import build_trial
 
 GOLDEN = Path(__file__).with_name("golden_canonical.json")
 NMSE_REL_TOL = 1e-9
@@ -44,18 +45,15 @@ def structure_digest(report) -> str:
 
 def canonical_records() -> dict:
     """{pilots: {estimator: [[digest, linear NMSE] per trial]}} over the canonical sweep."""
-    base = SystemConfig()
     out: dict = {}
     for axis_index, pilots in enumerate((32, 128)):
-        config = dataclasses.replace(base, n_pilots=pilots)
-        cells: dict = {name: [] for name in config.estimators}
+        config = dataclasses.replace(SystemConfig(), n_pilots=pilots)
+        cells: dict = {name: [] for name in ESTIMATORS}
         for trial in range(config.trials):
-            result = run_trial(config, trial, axis_index=axis_index)
-            assert not result.errors, result.errors
-            for name in config.estimators:
-                cells[name].append(
-                    [structure_digest(result.reports[name]), result.nmse_lin[name]]
-                )
+            _, _, truth, _, inp = build_trial(config, trial, axis_index=axis_index)
+            for name, estimate in ESTIMATORS.items():
+                report = estimate(inp, truth)
+                cells[name].append([structure_digest(report), nmse_linear(report.H_hat, truth.H)])
         out[str(pilots)] = cells
     return out
 

@@ -142,6 +142,52 @@ class TestCircXcorr2d:
             circ_xcorr_2d(np.ones((2, 3)), np.ones((3, 2)))
 
 
+def direct_xcorr_2d(u, v):
+    """The defining double sum, c[d1, d2] = |sum conj(u[m1, m2]) v[m1 + d1, m2 + d2]|, wrapped."""
+    n1, n2 = u.shape
+    out = np.empty((n1, n2))
+    for d1 in range(n1):
+        for d2 in range(n2):
+            acc = 0.0 + 0.0j
+            for m1 in range(n1):
+                for m2 in range(n2):
+                    acc += np.conj(u[m1, m2]) * v[(m1 + d1) % n1, (m2 + d2) % n2]
+            out[d1, d2] = abs(acc)
+    return out
+
+
+class TestCircXcorrDirectReference:
+    """The FFT correlations against the defining double sums, within 1e-12 of scale."""
+
+    @staticmethod
+    def pair(shape, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return u, v, np.linalg.norm(u) * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 128])
+    def test_1d(self, n):
+        u, v, scale = self.pair(n, n)
+        direct = direct_xcorr_2d(u[:, None], v[:, None])[:, 0]
+        npt.assert_allclose(circ_xcorr_1d(u, v), direct, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 128), (16, 16)])
+    def test_2d(self, shape):
+        u, v, scale = self.pair(shape, sum(shape))
+        npt.assert_allclose(circ_xcorr_2d(u, v), direct_xcorr_2d(u, v), rtol=0, atol=1e-12 * scale)
+
+    def test_zero_input_gives_exact_zeros(self):
+        # offset estimation reads "no correlation mass" off exact zeros
+        u, v, _ = self.pair(16, 0)
+        assert not np.any(circ_xcorr_1d(np.zeros(16), v) > 0.0)
+        assert not np.any(circ_xcorr_2d(u.reshape(4, 4), np.zeros((4, 4))) > 0.0)
+
+    def test_2d_rejects_empty(self):
+        with pytest.raises(ValueError):
+            circ_xcorr_2d(np.ones((0, 3)), np.ones((0, 3)))
+
+
 class TestLsSolve:
     def test_identity_system(self):
         y = np.array([1.0, 1.0j, -2.0])
