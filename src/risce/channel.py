@@ -120,7 +120,6 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
     Draw order is fixed (reflector-to-BS link first, then users in order) so a
     seeded generator reproduces the realization exactly.
     """
-    config.validate()
     geometry = config.geometry
     n_i = geometry.n_elements
 

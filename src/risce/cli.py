@@ -180,7 +180,6 @@ def _resolve_config(args: argparse.Namespace) -> SystemConfig:
             name.strip() for name in args.estimators.split(",") if name.strip()
         )
     config = SystemConfig(**kwargs)
-    config.validate()
     for name in config.estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; known: {sorted(ESTIMATORS)}")

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 DEFAULT_ESTIMATORS = ("oracle_ls", "triple_structured", "row_structured", "conventional_omp")
+
+
+def is_noiseless(snr_db: float | None) -> bool:
+    """None and +inf both mean a run without measurement noise."""
+    return snr_db is None or snr_db == math.inf
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -18,8 +29,8 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.kind not in ("ula", "upa"):
             raise ValueError(f"unknown array kind {self.kind!r}")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("array dimensions must be positive")
+        if not (_is_int(self.n1) and _is_int(self.n2)) or self.n1 < 1 or self.n2 < 1:
+            raise ValueError("array dimensions must be positive integers")
         if self.kind == "ula" and self.n2 != 1:
             raise ValueError("a linear array must have n2 == 1")
 
@@ -44,9 +55,11 @@ class ArrayGeometry:
 class SystemConfig:
     """One benchmark scenario.
 
-    snr_db of None runs noiseless; bs_paths is the number of reflector-to-BS
-    paths (the shared beamspace column count) and ue_paths bounds the per-user
-    path count drawn uniformly at random, inclusive on both ends.
+    Every field is checked at construction.  snr_db of None or +inf runs
+    noiseless; any other value must be finite.  bs_paths is the number of
+    reflector-to-BS paths (the shared beamspace column count) and ue_paths
+    bounds the per-user path count drawn uniformly at random, inclusive on
+    both ends.
     """
 
     n_bs: int = 64
@@ -60,23 +73,24 @@ class SystemConfig:
     base_seed: int = 0
     estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("n_bs", "n_users", "bs_paths", "n_pilots", "trials"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not _is_int(self.base_seed) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a non-negative integer, got {self.base_seed!r}")
+        if not isinstance(self.geometry, ArrayGeometry):
+            raise ValueError("geometry must be an ArrayGeometry")
         n_i = self.geometry.n_elements
-        if self.n_bs < 1:
-            raise ValueError("n_bs must be positive")
-        if self.n_users < 1:
-            raise ValueError("n_users must be positive")
-        if self.n_pilots < 1:
-            raise ValueError("n_pilots must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if not 1 <= self.bs_paths <= min(self.n_bs, n_i):
+        if self.bs_paths > min(self.n_bs, n_i):
             raise ValueError(f"bs_paths must lie in [1, {min(self.n_bs, n_i)}]")
         lo, hi = self.ue_paths
-        if not 1 <= lo <= hi <= n_i:
+        if not (_is_int(lo) and _is_int(hi)) or not 1 <= lo <= hi <= n_i:
             raise ValueError(f"ue_paths range ({lo}, {hi}) invalid for {n_i} reflector elements")
-        if self.snr_db is not None and not isinstance(self.snr_db, (int, float)):
-            raise ValueError("snr_db must be a number or None")
+        finite = isinstance(self.snr_db, Real) and not isinstance(self.snr_db, bool)
+        if not is_noiseless(self.snr_db) and not (finite and math.isfinite(self.snr_db)):
+            raise ValueError(f"snr_db must be a finite number, +inf or None, got {self.snr_db!r}")
         if not self.estimators:
             raise ValueError("at least one estimator must be selected")
         if len(set(self.estimators)) != len(self.estimators):
@@ -84,4 +98,4 @@ class SystemConfig:
 
     @property
     def noiseless(self) -> bool:
-        return self.snr_db is None or self.snr_db == float("inf")
+        return is_noiseless(self.snr_db)

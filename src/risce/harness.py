@@ -16,7 +16,6 @@ import numpy as np
 from .channel import generate_channels
 from .config import SystemConfig
 from .estimators import (
-    EstimateReport,
     EstimatorInput,
     estimate_conventional_omp,
     estimate_oracle_ls,
@@ -73,7 +72,6 @@ class TrialResult:
 
     nmse_lin: dict[str, float]
     errors: dict[str, str]
-    reports: dict[str, EstimateReport]
 
 
 def trial_rng(base_seed: int, axis_index: int, trial_index: int) -> np.random.Generator:
@@ -101,15 +99,13 @@ def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> Tr
     )
     ratios: dict[str, float] = {}
     errors: dict[str, str] = {}
-    reports: dict[str, EstimateReport] = {}
     for name in config.estimators:
         try:
             report = ESTIMATORS[name](inp, truth)
             ratios[name] = nmse_linear(report.H_hat, truth.H)
-            reports[name] = report
         except Exception as exc:  # keep the trial alive; the cell records the failure
             errors[name] = f"{type(exc).__name__}: {exc}"
-    return TrialResult(nmse_lin=ratios, errors=errors, reports=reports)
+    return TrialResult(nmse_lin=ratios, errors=errors)
 
 
 @dataclass
@@ -150,24 +146,21 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
 
     Axis values are sorted ascending and deduplicated; each (axis point,
     trial) pair gets its own seed stream, so results do not depend on the
-    order values are given in.
+    order values are given in.  Every point's configuration is built, and so
+    checked, before the first trial runs.
     """
     if axis == "pilot_length":
         sorted_values = sorted({int(v) for v in values})
+        point_configs = [replace(config, n_pilots=v) for v in sorted_values]
     elif axis == "snr":
         sorted_values = sorted({float(v) for v in values})
+        point_configs = [replace(config, snr_db=v) for v in sorted_values]
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'pilot_length' or 'snr'")
     if not sorted_values:
         raise ValueError("at least one axis value is required")
-    config.validate()
     cells: dict = {}
-    for axis_index, value in enumerate(sorted_values):
-        if axis == "pilot_length":
-            point_config = replace(config, n_pilots=int(value))
-        else:
-            point_config = replace(config, snr_db=float(value))
-        point_config.validate()
+    for axis_index, (value, point_config) in enumerate(zip(sorted_values, point_configs)):
         ratios: dict[str, list[float]] = {name: [] for name in config.estimators}
         failures: dict[str, int] = {name: 0 for name in config.estimators}
         for trial_index in range(config.trials):
@@ -210,6 +203,14 @@ def emit_results(result: SweepResult, path) -> None:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
 
 
+def _parse_axis(text: str) -> int | float:
+    """Inverse of _format_axis: integer literals (pilot lengths) as int, the rest as float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def load_results(path) -> list[dict]:
     """Parse a results CSV back into typed rows (None where a cell errored)."""
     text = Path(path).read_text(encoding="utf-8")
@@ -221,7 +222,7 @@ def load_results(path) -> list[dict]:
         axis_value, estimator, nmse_field, stderr_field, trials = line.split(",")
         rows.append(
             {
-                "axis": float(axis_value),
+                "axis": _parse_axis(axis_value),
                 "estimator": estimator,
                 "nmse_db": None if nmse_field == "error" else float(nmse_field),
                 "stderr_db": None if stderr_field == "error" else float(stderr_field),

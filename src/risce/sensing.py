@@ -1,5 +1,5 @@
 """Pilot-side model: reflector phase schedules, the beamspace transform, noisy
-measurements, and ground-truth sparsity metadata read off generated channels.
+measurements, and the sparse ground truth built in closed form from the path lists.
 
 Measurement convention for user k:
 
@@ -16,17 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, cascade_spatial, flat_ris_index
-from .config import ArrayGeometry
-from .numerics import circ_xcorr_1d, circ_xcorr_2d, dft_matrix, peak_shift_1d, peak_shift_2d
+from .channel import ChannelRealization, cascade_spatial
+from .config import ArrayGeometry, is_noiseless
+from .numerics import dft_matrix, signed_shift
 
-SUPPORT_THRESHOLD = 1e-9
+# the benchmark tracer wraps these two names on this module, so they stay imported here
+from .numerics import circ_xcorr_1d, circ_xcorr_2d  # noqa: F401
 
 Offset = int | tuple[int, int]
 
 
 class StructureViolation(RuntimeError):
-    """A generated realization failed an internal sparsity-structure consistency check."""
+    """A path list breaks the one-entry-per-path-pair form of the on-grid beamspace model."""
 
 
 @dataclass(frozen=True)
@@ -106,71 +107,56 @@ def roll_map(offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
     return _shift(np.arange(geometry.n_elements), offset, geometry)
 
 
-def _column_shift(ref: np.ndarray, col: np.ndarray, geometry: ArrayGeometry) -> Offset:
-    """Signed circular shift taking the reference column onto `col`, from the correlation peak."""
-    if geometry.is_planar:
-        n1, n2 = geometry.n1, geometry.n2
-        return peak_shift_2d(circ_xcorr_2d(ref.reshape(n1, n2), col.reshape(n1, n2)))
-    return peak_shift_1d(circ_xcorr_1d(ref, col))
-
-
-def _zero_offset(geometry: ArrayGeometry) -> Offset:
-    return (0, 0) if geometry.is_planar else 0
+def _axis_array(indices: list, geometry: ArrayGeometry) -> np.ndarray:
+    """Reflector grid indices as a (paths x axes) integer array."""
+    return np.array(indices, dtype=int).reshape(len(indices), 2 if geometry.is_planar else 1)
 
 
 def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -> GroundTruth:
-    """Compute beamspace channels and read off their joint sparsity metadata.
+    """Build the sparse beamspace channels and their joint sparsity metadata from the path lists.
 
-    Verifies the structural invariants the estimators rely on (shared column
-    support, per-column row supports that are circular shifts of a per-user
-    pattern, user-independent shifts) and raises StructureViolation if any
-    fails; a failure indicates a model bug, not a data condition.
+    On the grid, BS path p (beam b_p, reflector index r_p, gain g_p) and user
+    path q (reflector index u_q, gain h_q) fill exactly one entry of H_k:
+    conj(g_p * h_q) / sqrt(N_I) at row (r_p - u_q) mod N_I (per axis for
+    planar arrays) and column b_p.  So the columns are the BS beams, each
+    column's rows are the user's pattern shifted by r_p - r_0, and the shifts
+    are the same for every user.  Raises StructureViolation for path lists that
+    break this one-entry-per-pair form: two BS paths on one BS beam, two paths
+    of one user on one reflector index, or a zero gain.
     """
     geometry = setup.geometry
-    H = [beamspace_cascaded(realization.G, h_k, setup) for h_k in realization.h]
+    dims = (geometry.n1, geometry.n2) if geometry.is_planar else (geometry.n_elements,)
+    g_paths = sorted(realization.g_paths, key=lambda path: path.bs_index)
+    col_support = np.array([path.bs_index for path in g_paths], dtype=int)
+    if np.unique(col_support).size != col_support.size:
+        raise StructureViolation("two reflector-to-BS paths share one BS beam")
+    g_ris = _axis_array([path.ris_index for path in g_paths], geometry)
+    g_gains = np.array([path.gain for path in g_paths], dtype=complex)
 
-    col_supports = [
-        np.flatnonzero(np.max(np.abs(H_k), axis=0) > SUPPORT_THRESHOLD) for H_k in H
-    ]
-    col_support = col_supports[0]
-    for k, support in enumerate(col_supports[1:], start=1):
-        if not np.array_equal(support, col_support):
-            raise StructureViolation(f"user {k} column support differs from user 0")
-    if col_support.size != len(realization.g_paths):
-        raise StructureViolation(
-            f"expected {len(realization.g_paths)} occupied columns, found {col_support.size}"
-        )
+    offsets: list[Offset] = []
+    for ris in g_ris:
+        shift = tuple(signed_shift(d, n) for d, n in zip(ris - g_ris[0], dims))
+        offsets.append(shift if geometry.is_planar else shift[0])
 
+    H: list[np.ndarray] = []
     row_patterns: list[np.ndarray] = []
-    per_user_offsets: list[list[Offset]] = []
-    for k, H_k in enumerate(H):
-        ref_col = H_k[:, col_support[0]]
-        pattern = np.flatnonzero(np.abs(ref_col) > SUPPORT_THRESHOLD)
-        if pattern.size != len(realization.h_paths[k]):
-            raise StructureViolation(
-                f"user {k}: expected {len(realization.h_paths[k])} rows, found {pattern.size}"
-            )
-        offsets: list[Offset] = [_zero_offset(geometry)]
-        for j in range(1, col_support.size):
-            col = H_k[:, col_support[j]]
-            shift = _column_shift(ref_col, col, geometry)
-            expected_rows = shift_indices(pattern, shift, geometry)
-            actual_rows = np.flatnonzero(np.abs(col) > SUPPORT_THRESHOLD)
-            if not np.array_equal(expected_rows, actual_rows):
-                raise StructureViolation(
-                    f"user {k} column {j}: row support is not a circular shift of the pattern"
-                )
-            offsets.append(shift)
-        row_patterns.append(pattern)
-        per_user_offsets.append(offsets)
+    for k, user_paths in enumerate(realization.h_paths):
+        u_ris = _axis_array([path.ris_index for path in user_paths], geometry)
+        u_gains = np.array([path.gain for path in user_paths], dtype=complex)
+        # rows[p, q]: flat row of the (BS path p, user path q) entry
+        axes = (g_ris[:, None, :] - u_ris[None, :, :]) % dims
+        rows = np.ravel_multi_index(tuple(np.moveaxis(axes, -1, 0)), dims)
+        if np.unique(rows[0]).size != len(user_paths):
+            raise StructureViolation(f"user {k}: two paths share one reflector index")
+        values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
+        if not np.all(values):
+            raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
+        H_k = np.zeros((geometry.n_elements, realization.G.shape[0]), dtype=complex)
+        H_k[rows, col_support[:, None]] = values
+        H.append(H_k)
+        row_patterns.append(np.sort(rows[0]))
 
-    for k, offsets in enumerate(per_user_offsets[1:], start=1):
-        if offsets != per_user_offsets[0]:
-            raise StructureViolation(f"user {k} offsets differ from user 0")
-
-    return GroundTruth(
-        H=H, col_support=col_support, row_patterns=row_patterns, offsets=per_user_offsets[0]
-    )
+    return GroundTruth(H=H, col_support=col_support, row_patterns=row_patterns, offsets=offsets)
 
 
 def simulate_measurements(
@@ -188,8 +174,7 @@ def simulate_measurements(
     a = setup.sensing_matrix
     signal = [a @ H_k for H_k in truth.H]
     n_pilots, n_bs = signal[0].shape
-    noiseless = snr_db is None or np.isinf(snr_db)
-    if noiseless:
+    if is_noiseless(snr_db):
         return MeasurementSet(Y=[s.copy() for s in signal], noise_variance=0.0)
     mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
     variance = mean_power / (n_pilots * n_bs * 10.0 ** (snr_db / 10.0))
@@ -201,15 +186,3 @@ def simulate_measurements(
         )
         Y.append(s + noise)
     return MeasurementSet(Y=Y, noise_variance=variance)
-
-
-def true_flat_supports(realization: ChannelRealization) -> dict[str, object]:
-    """Grid-index bookkeeping for debugging: flat reflector indices of every path."""
-    geometry = realization.geometry
-    return {
-        "bs_beams": [p.bs_index for p in realization.g_paths],
-        "ris_beams": [flat_ris_index(geometry, p.ris_index) for p in realization.g_paths],
-        "ue_beams": [
-            [flat_ris_index(geometry, p.ris_index) for p in paths] for paths in realization.h_paths
-        ],
-    }

@@ -168,8 +168,8 @@ class TestGenerateChannels:
         )
 
     def test_invalid_sparsity_rejected(self):
-        cfg = dataclasses.replace(SystemConfig(), bs_paths=200)
         with pytest.raises(ValueError):
+            cfg = dataclasses.replace(SystemConfig(), bs_paths=200)
             generate_channels(cfg, np.random.default_rng(0))
 
 

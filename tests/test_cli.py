@@ -167,6 +167,12 @@ class TestErrors:
         assert main(["single", "--n-bs", "0"]) == 1
         assert main(["single", "--ue-paths", "5", "2"]) == 1
 
+    def test_non_finite_snr_rejected(self, capsys):
+        assert main(["single", *SMALL, "--snr-db", "nan"]) == 1
+        assert "snr_db" in capsys.readouterr().err
+        assert main(["single", *SMALL, "--snr-db=-inf"]) == 1
+        assert main(["sweep-snr", *SMALL, "--values", "0,nan"]) == 1
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as info:
             main(["sweep-t", "--pilots", "notanint"])

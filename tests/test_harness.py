@@ -112,7 +112,6 @@ class TestRunTrial:
     def test_reports_returned_per_estimator(self):
         cfg = small_config()
         result = run_trial(cfg, trial_index=0)
-        assert set(result.reports) == set(cfg.estimators)
         assert set(result.nmse_lin) == set(cfg.estimators)
 
     def test_unknown_estimator_rejected(self):
@@ -126,7 +125,6 @@ class TestRunTrial:
         result = run_trial(cfg, trial_index=0)
         assert result.errors == {"boom": "RuntimeError: kaboom"}
         assert "oracle_ls" in result.nmse_lin
-        assert "boom" not in result.reports
 
     def test_oracle_dominates_every_draw(self):
         cfg = SystemConfig(trials=1)
@@ -183,6 +181,15 @@ class TestRunSweep:
         result = run_sweep(cfg, "snr", [-10.0, 10.0])
         assert result.cells[(10.0, "oracle_ls")].mean_db < result.cells[(-10.0, "oracle_ls")].mean_db
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_bad_snr_rejected_before_any_trial(self, bad, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        with pytest.raises(ValueError, match="snr_db"):
+            run_sweep(small_config(), "snr", [0.0, bad])
+
     def test_bad_axis_and_empty_values(self):
         cfg = small_config()
         with pytest.raises(ValueError):
@@ -204,6 +211,17 @@ class TestCsvRoundTrip:
             assert row["nmse_db"] == cell.mean_db  # repr round trip is lossless
             assert row["stderr_db"] == cell.stderr_db
             assert row["trials"] == cell.n_trials
+
+    def test_axis_types_survive_round_trip(self, tmp_path):
+        cfg = small_config(trials=2, estimators=("oracle_ls",))
+        pilots, snrs = tmp_path / "pilots.csv", tmp_path / "snr.csv"
+        emit_results(run_sweep(cfg, "pilot_length", [16]), pilots)
+        emit_results(run_sweep(cfg, "snr", [-5.0, 10.0]), snrs)
+        assert [(type(r["axis"]), r["axis"]) for r in load_results(pilots)] == [(int, 16)]
+        assert [(type(r["axis"]), r["axis"]) for r in load_results(snrs)] == [
+            (float, -5.0),
+            (float, 10.0),
+        ]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = small_config(trials=3)

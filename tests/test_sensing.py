@@ -208,6 +208,59 @@ class TestExtractGroundTruth:
         with pytest.raises(StructureViolation):
             extract_ground_truth(real, setup)
 
+    @pytest.mark.parametrize(
+        "g_paths, h_paths",
+        [
+            # two paths of one user on one reflector index merge two rows
+            (
+                [RisBsPath(1.0 + 0.0j, 5, 2), RisBsPath(1.0 + 0.0j, 7, 9)],
+                [[UeRisPath(1.0 + 0.0j, 3)], [UeRisPath(1.0 + 0.0j, 4), UeRisPath(0.5j, 4)]],
+            ),
+            # a zero user-path gain leaves its entries empty
+            (
+                [RisBsPath(1.0 + 0.0j, 5, 2)],
+                [[UeRisPath(1.0 + 0.0j, 3), UeRisPath(0j, 8)]],
+            ),
+            # a zero reflector-to-BS gain empties a whole column
+            (
+                [RisBsPath(0j, 5, 2), RisBsPath(1.0 + 0.0j, 7, 9)],
+                [[UeRisPath(1.0 + 0.0j, 3)]],
+            ),
+        ],
+        ids=["repeated-user-index", "zero-user-gain", "zero-bs-gain"],
+    )
+    def test_malformed_path_lists_are_rejected(self, g_paths, h_paths):
+        geometry = ArrayGeometry.ula(32)
+        real = assemble_channels(16, geometry, g_paths, h_paths)
+        setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
+        with pytest.raises(StructureViolation):
+            extract_ground_truth(real, setup)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [ArrayGeometry.ula(128), ArrayGeometry.upa(16, 16), ArrayGeometry.upa(8, 16)],
+        ids=["ula128", "upa16x16", "upa8x16"],
+    )
+    def test_matches_dense_beamspace_transform(self, geometry):
+        # the closed-form truth against the model's dense definition, on 100 draws
+        cfg = SystemConfig(geometry=geometry)
+        worst = 0.0
+        for trial in range(100):
+            rng = trial_rng(41, 0, trial)
+            real = generate_channels(cfg, rng)
+            setup = make_sensing_setup(cfg.n_bs, geometry, 4, rng)
+            truth = extract_ground_truth(real, setup)
+            for k in range(cfg.n_users):
+                dense = beamspace_cascaded(real.G, real.h[k], setup)
+                worst = max(worst, float(np.max(np.abs(truth.H[k] - dense))))
+                expected = {
+                    (row, c)
+                    for j, c in enumerate(truth.col_support)
+                    for row in shift_indices(truth.row_patterns[k], truth.offsets[j], geometry)
+                }
+                assert set(zip(*np.nonzero(truth.H[k]))) == expected
+        assert worst <= 1e-12
+
     def test_many_draws_satisfy_structure(self):
         cfg = SystemConfig()
         for seed in range(30):
