@@ -4,8 +4,8 @@ from .channel import (
     ChannelRealization,
     RisBsPath,
     UeRisPath,
-    assemble_channels,
     cascade_spatial,
+    dense_channels,
     generate_channels,
     grid_sine,
     steering_ula,

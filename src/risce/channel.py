@@ -61,11 +61,10 @@ class UeRisPath:
 
 @dataclass
 class ChannelRealization:
-    """Dense channels for one draw plus the path metadata that generated them."""
+    """One draw as path lists; on the grid these determine every channel entry."""
 
     geometry: ArrayGeometry
-    G: np.ndarray  # n_bs x n_elements reflector-to-BS channel
-    h: list[np.ndarray]  # per-user length-n_elements user-to-reflector channels
+    n_bs: int  # BS antenna count
     g_paths: list[RisBsPath]
     h_paths: list[list[UeRisPath]]
 
@@ -78,34 +77,27 @@ def ris_steering(geometry: ArrayGeometry, index: RisIndex) -> np.ndarray:
     return steering_ula(geometry.n1, int(index))
 
 
-def flat_ris_index(geometry: ArrayGeometry, index: RisIndex) -> int:
-    """Flatten a reflector grid index to the vectorised element/beam index."""
-    if geometry.is_planar:
-        az, el = index
-        return int(az) * geometry.n2 + int(el)
-    return int(index)
+def dense_channels(realization: ChannelRealization) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Dense G (n_bs x n_elements) and per-user h as steering-vector sums over the path lists.
 
-
-def assemble_channels(
-    n_bs: int,
-    geometry: ArrayGeometry,
-    g_paths: list[RisBsPath],
-    h_paths: list[list[UeRisPath]],
-) -> ChannelRealization:
-    """Build dense G and per-user h from explicit path lists."""
+    The model's reference form, for tests: a trial works from the path lists
+    alone.
+    """
+    geometry = realization.geometry
+    n_bs = realization.n_bs
     n_i = geometry.n_elements
     G = np.zeros((n_bs, n_i), dtype=complex)
-    for path in g_paths:
+    for path in realization.g_paths:
         a_bs = steering_ula(n_bs, path.bs_index)
         a_ris = ris_steering(geometry, path.ris_index)
         G += path.gain * np.outer(a_bs, np.conj(a_ris))
     h = []
-    for user_paths in h_paths:
+    for user_paths in realization.h_paths:
         h_k = np.zeros(n_i, dtype=complex)
         for path in user_paths:
             h_k += path.gain * ris_steering(geometry, path.ris_index)
         h.append(h_k)
-    return ChannelRealization(geometry=geometry, G=G, h=h, g_paths=list(g_paths), h_paths=[list(p) for p in h_paths])
+    return G, h
 
 
 def _complex_gains(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -143,7 +135,7 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
             user_paths.append(UeRisPath(gain=complex(gain), ris_index=ris_idx))
         h_paths.append(user_paths)
 
-    return assemble_channels(config.n_bs, geometry, g_paths, h_paths)
+    return ChannelRealization(geometry=geometry, n_bs=config.n_bs, g_paths=g_paths, h_paths=h_paths)
 
 
 def cascade_spatial(G: np.ndarray, h_k: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import DEFAULT_ESTIMATORS, ArrayGeometry, SystemConfig
+from .config import ArrayGeometry, SystemConfig
 from .harness import ESTIMATORS, emit_results, run_sweep
 
 _CONFIG_KEYS = (
@@ -28,6 +28,17 @@ _CONFIG_KEYS = (
     "seed",
     "estimators",
 )
+
+# keys whose values pass to SystemConfig unchanged, with the field each one sets
+_FIELDS = {
+    "n_bs": "n_bs",
+    "users": "n_users",
+    "bs_paths": "bs_paths",
+    "pilots": "n_pilots",
+    "snr_db": "snr_db",
+    "trials": "trials",
+    "seed": "base_seed",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +67,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat `key = value` file; '#' starts a comment.  See the README for the schema."""
+    """Flat `key = value` file; '#' starts a comment.  See the README for the schema.
+
+    Returns typed values keyed like the command-line flags, for `_config_kwargs`.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -76,38 +90,42 @@ def _parse_config_file(path: str) -> dict:
         entries[key] = value
     if "n_ris" in entries and "upa" in entries:
         raise ValueError(f"{path}: give either n_ris or upa, not both")
-    kwargs: dict = {}
-    if "n_bs" in entries:
-        kwargs["n_bs"] = int(entries["n_bs"])
-    if "n_ris" in entries:
-        kwargs["geometry"] = ArrayGeometry.ula(int(entries["n_ris"]))
-    if "upa" in entries:
-        parts = entries["upa"].replace("x", ",").split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: upa must be 'N1xN2' or 'N1,N2'")
-        kwargs["geometry"] = ArrayGeometry.upa(int(parts[0]), int(parts[1]))
-    if "users" in entries:
-        kwargs["n_users"] = int(entries["users"])
-    if "bs_paths" in entries:
-        kwargs["bs_paths"] = int(entries["bs_paths"])
-    if "ue_paths" in entries:
-        parts = entries["ue_paths"].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: ue_paths must be 'MIN,MAX'")
-        kwargs["ue_paths"] = (int(parts[0]), int(parts[1]))
-    if "pilots" in entries:
-        kwargs["n_pilots"] = int(entries["pilots"])
-    if "snr_db" in entries:
-        kwargs["snr_db"] = float(entries["snr_db"])
-    if "noiseless" in entries and _parse_bool(entries["noiseless"]):
+    values: dict = {}
+    for key in _CONFIG_KEYS:
+        if key not in entries:
+            continue
+        value = entries[key]
+        if key in ("upa", "ue_paths"):
+            parts = (value.replace("x", ",") if key == "upa" else value).split(",")
+            if len(parts) != 2:
+                form = "'N1xN2' or 'N1,N2'" if key == "upa" else "'MIN,MAX'"
+                raise ValueError(f"{path}: {key} must be {form}")
+            values[key] = (int(parts[0]), int(parts[1]))
+        elif key == "snr_db":
+            values[key] = float(value)
+        elif key == "noiseless":
+            values[key] = _parse_bool(value)
+        elif key == "estimators":
+            values[key] = value
+        else:
+            values[key] = int(value)
+    return values
+
+
+def _config_kwargs(values: dict) -> dict:
+    """SystemConfig keyword arguments from flag-keyed values; None or a missing key means unset."""
+    kwargs = {field: values[key] for key, field in _FIELDS.items() if values.get(key) is not None}
+    if values.get("n_ris") is not None:
+        kwargs["geometry"] = ArrayGeometry.ula(values["n_ris"])
+    if values.get("upa") is not None:
+        kwargs["geometry"] = ArrayGeometry.upa(*values["upa"])
+    if values.get("ue_paths") is not None:
+        kwargs["ue_paths"] = tuple(values["ue_paths"])
+    if values.get("noiseless"):
         kwargs["snr_db"] = None
-    if "trials" in entries:
-        kwargs["trials"] = int(entries["trials"])
-    if "seed" in entries:
-        kwargs["base_seed"] = int(entries["seed"])
-    if "estimators" in entries:
+    if values.get("estimators") is not None:
         kwargs["estimators"] = tuple(
-            name.strip() for name in entries["estimators"].split(",") if name.strip()
+            name.strip() for name in values["estimators"].split(",") if name.strip()
         )
     return kwargs
 
@@ -148,37 +166,11 @@ def build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> SystemConfig:
-    kwargs: dict = {}
-    if args.config:
-        kwargs.update(_parse_config_file(args.config))
+    """File entries first, then flags, so a flag overrides the file."""
+    kwargs = _config_kwargs(_parse_config_file(args.config)) if args.config else {}
     if args.n_ris is not None and args.upa is not None:
         raise ValueError("give either --n-ris or --upa, not both")
-    if args.n_bs is not None:
-        kwargs["n_bs"] = args.n_bs
-    if args.n_ris is not None:
-        kwargs["geometry"] = ArrayGeometry.ula(args.n_ris)
-    if args.upa is not None:
-        kwargs["geometry"] = ArrayGeometry.upa(args.upa[0], args.upa[1])
-    if args.users is not None:
-        kwargs["n_users"] = args.users
-    if args.bs_paths is not None:
-        kwargs["bs_paths"] = args.bs_paths
-    if args.ue_paths is not None:
-        kwargs["ue_paths"] = (args.ue_paths[0], args.ue_paths[1])
-    if args.pilots is not None:
-        kwargs["n_pilots"] = args.pilots
-    if args.snr_db is not None:
-        kwargs["snr_db"] = args.snr_db
-    if args.noiseless:
-        kwargs["snr_db"] = None
-    if args.trials is not None:
-        kwargs["trials"] = args.trials
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.estimators is not None:
-        kwargs["estimators"] = tuple(
-            name.strip() for name in args.estimators.split(",") if name.strip()
-        )
+    kwargs.update(_config_kwargs({key: getattr(args, key) for key in _CONFIG_KEYS}))
     config = SystemConfig(**kwargs)
     for name in config.estimators:
         if name not in ESTIMATORS:

@@ -5,13 +5,18 @@ Measurement convention for user k:
 
     Y_k = A @ H_k + W_k,      A = phases^H @ f_ris^H   (n_pilots x n_elements)
 
-where H_k = f_ris @ (G @ diag(h_k))^H @ f_bs^H is the beamspace cascaded
-channel (rows: reflector beams, columns: BS beams) and W_k is white complex
-Gaussian noise.
+where f_ris and f_bs are unitary DFTs (Kronecker form over the two axes for
+planar reflectors), H_k = f_ris @ (G @ diag(h_k))^H @ f_bs^H is the beamspace
+cascaded channel (rows: reflector beams, columns: BS beams) and W_k is white
+complex Gaussian noise.  A is an orthonormal inverse FFT of the conjugated
+phases: row t is the 2-D inverse FFT of conj(phases[:, t]) laid out on the
+(n1, n2) element grid (1-D for linear arrays, n2 == 1), so no DFT matrix is
+formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,6 @@ class SensingSetup:
     """Fixed sensing operators shared by all users of one trial."""
 
     phases: np.ndarray  # n_elements x n_pilots unit-modulus reflector schedule
-    f_bs: np.ndarray  # n_bs x n_bs unitary DFT
-    f_ris: np.ndarray  # n_elements x n_elements unitary DFT (Kronecker form for planar arrays)
     sensing_matrix: np.ndarray  # n_pilots x n_elements, equals phases^H @ f_ris^H
     geometry: ArrayGeometry
 
@@ -70,23 +73,29 @@ def generate_phase_schedule(n_elements: int, n_pilots: int, rng: np.random.Gener
 def make_sensing_setup(
     n_bs: int, geometry: ArrayGeometry, n_pilots: int, rng: np.random.Generator
 ) -> SensingSetup:
-    """Draw a phase schedule and assemble the DFTs and sensing matrix for one trial."""
-    f_bs = dft_matrix(n_bs)
+    """Draw a phase schedule and build the sensing matrix for one trial."""
+    # n_bs is unused; it stays because perfbench/kernels.py calls this positionally
+    phases = generate_phase_schedule(geometry.n_elements, n_pilots, rng)
+    # one 2-D inverse FFT per pilot over the (n1, n2) axes; a linear array has n2 == 1
+    grid = phases.conj().T.reshape(n_pilots, geometry.n1, geometry.n2)
+    sensing_matrix = np.fft.ifft2(grid, norm="ortho").reshape(n_pilots, geometry.n_elements)
+    # the FFT returns A column-major; keep the row-major layout the estimators were measured with
+    return SensingSetup(
+        phases=phases, sensing_matrix=np.ascontiguousarray(sensing_matrix), geometry=geometry
+    )
+
+
+def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """Beamspace cascaded channel f_ris @ (G @ diag(h_k))^H @ f_bs^H for one user.
+
+    The model's dense definition: the reference the closed-form truth is tested against.
+    """
+    spatial = cascade_spatial(G, h_k)
     if geometry.is_planar:
         f_ris = np.kron(dft_matrix(geometry.n1), dft_matrix(geometry.n2))
     else:
         f_ris = dft_matrix(geometry.n1)
-    phases = generate_phase_schedule(geometry.n_elements, n_pilots, rng)
-    sensing_matrix = phases.conj().T @ f_ris.conj().T
-    return SensingSetup(
-        phases=phases, f_bs=f_bs, f_ris=f_ris, sensing_matrix=sensing_matrix, geometry=geometry
-    )
-
-
-def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, setup: SensingSetup) -> np.ndarray:
-    """Beamspace cascaded channel f_ris @ (G @ diag(h_k))^H @ f_bs^H for one user."""
-    spatial = cascade_spatial(G, h_k)
-    return setup.f_ris @ spatial.conj().T @ setup.f_bs.conj().T
+    return f_ris @ spatial.conj().T @ dft_matrix(G.shape[0]).conj().T
 
 
 def _shift(idx: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
@@ -121,11 +130,13 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
     planar arrays) and column b_p.  So the columns are the BS beams, each
     column's rows are the user's pattern shifted by r_p - r_0, and the shifts
     are the same for every user.  Raises StructureViolation for path lists that
-    break this one-entry-per-pair form: two BS paths on one BS beam, two paths
-    of one user on one reflector index, or a zero gain.
+    break this one-entry-per-pair form: no BS path, two BS paths on one BS
+    beam, two paths of one user on one reflector index, or a zero gain.
     """
     geometry = setup.geometry
     dims = (geometry.n1, geometry.n2) if geometry.is_planar else (geometry.n_elements,)
+    if not realization.g_paths:
+        raise StructureViolation("no reflector-to-BS path: every column is empty")
     g_paths = sorted(realization.g_paths, key=lambda path: path.bs_index)
     col_support = np.array([path.bs_index for path in g_paths], dtype=int)
     if np.unique(col_support).size != col_support.size:
@@ -151,7 +162,7 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
         values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
         if not np.all(values):
             raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
-        H_k = np.zeros((geometry.n_elements, realization.G.shape[0]), dtype=complex)
+        H_k = np.zeros((geometry.n_elements, realization.n_bs), dtype=complex)
         H_k[rows, col_support[:, None]] = values
         H.append(H_k)
         row_patterns.append(np.sort(rows[0]))
@@ -169,8 +180,11 @@ def simulate_measurements(
 
     The noise variance is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
-    snr_db; snr_db of None or +inf disables noise.
+    snr_db; snr_db of None or +inf disables noise, and any other value must be
+    finite (ValueError otherwise, raised before any noise is drawn).
     """
+    if not is_noiseless(snr_db) and not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be a finite number, +inf or None, got {snr_db!r}")
     a = setup.sensing_matrix
     signal = [a @ H_k for H_k in truth.H]
     n_pilots, n_bs = signal[0].shape

@@ -7,11 +7,11 @@ import numpy.testing as npt
 import pytest
 
 from risce.channel import (
+    ChannelRealization,
     RisBsPath,
     UeRisPath,
-    assemble_channels,
     cascade_spatial,
-    flat_ris_index,
+    dense_channels,
     generate_channels,
     grid_sine,
     ris_steering,
@@ -90,24 +90,28 @@ class TestSteeringUpa:
 
 
 class TestAssembleChannels:
+    """Dense assembly of G and h from the path lists (`dense_channels`)."""
+
     def test_single_path_rank_one(self):
         gain = 0.7 - 1.2j
-        real = assemble_channels(
-            8,
-            ArrayGeometry.ula(16),
-            [RisBsPath(gain=gain, bs_index=2, ris_index=5)],
-            [[UeRisPath(gain=1.0 + 0.0j, ris_index=3)]],
+        G, _ = dense_channels(
+            ChannelRealization(
+                ArrayGeometry.ula(16),
+                8,
+                [RisBsPath(gain=gain, bs_index=2, ris_index=5)],
+                [[UeRisPath(gain=1.0 + 0.0j, ris_index=3)]],
+            )
         )
-        assert np.linalg.matrix_rank(real.G) == 1
-        assert abs(np.linalg.norm(real.G) - abs(gain)) < 1e-12
+        assert np.linalg.matrix_rank(G) == 1
+        assert abs(np.linalg.norm(G) - abs(gain)) < 1e-12
         expected = gain * np.outer(steering_ula(8, 2), np.conj(steering_ula(16, 5)))
-        npt.assert_allclose(real.G, expected, atol=1e-14)
+        npt.assert_allclose(G, expected, atol=1e-14)
 
     def test_user_vector_superposition(self):
         paths = [UeRisPath(gain=2.0 + 0.0j, ris_index=1), UeRisPath(gain=-1.0j, ris_index=4)]
-        real = assemble_channels(4, ArrayGeometry.ula(8), [], [paths])
+        _, h = dense_channels(ChannelRealization(ArrayGeometry.ula(8), 4, [], [paths]))
         expected = 2.0 * steering_ula(8, 1) - 1.0j * steering_ula(8, 4)
-        npt.assert_allclose(real.h[0], expected, atol=1e-14)
+        npt.assert_allclose(h[0], expected, atol=1e-14)
 
 
 class TestGenerateChannels:
@@ -115,8 +119,9 @@ class TestGenerateChannels:
         cfg = SystemConfig()
         a = generate_channels(cfg, np.random.default_rng(42))
         b = generate_channels(cfg, np.random.default_rng(42))
-        npt.assert_array_equal(a.G, b.G)
-        for ha, hb in zip(a.h, b.h):
+        (G_a, h_a), (G_b, h_b) = dense_channels(a), dense_channels(b)
+        npt.assert_array_equal(G_a, G_b)
+        for ha, hb in zip(h_a, h_b):
             npt.assert_array_equal(ha, hb)
         assert a.g_paths == b.g_paths
         assert a.h_paths == b.h_paths
@@ -126,11 +131,11 @@ class TestGenerateChannels:
         for seed in range(10):
             real = generate_channels(cfg, np.random.default_rng(seed))
             bs = [p.bs_index for p in real.g_paths]
-            depart = [flat_ris_index(real.geometry, p.ris_index) for p in real.g_paths]
+            depart = [p.ris_index for p in real.g_paths]
             assert len(set(bs)) == len(bs)
             assert len(set(depart)) == len(depart)
             for user in real.h_paths:
-                arrive = [flat_ris_index(real.geometry, p.ris_index) for p in user]
+                arrive = [p.ris_index for p in user]
                 assert len(set(arrive)) == len(arrive)
 
     def test_path_count_range_is_inclusive(self):
@@ -145,13 +150,14 @@ class TestGenerateChannels:
         # G must equal the plain steering-vector sum rebuilt from its paths
         cfg = dataclasses.replace(SystemConfig(), n_users=2)
         real = generate_channels(cfg, np.random.default_rng(3))
-        n_bs, n_i = real.G.shape
-        rebuilt = np.zeros_like(real.G)
+        G, _ = dense_channels(real)
+        n_bs, n_i = G.shape
+        rebuilt = np.zeros_like(G)
         for p in real.g_paths:
             a_bs = phase_ramp(n_bs, 2.0 * p.bs_index / n_bs)
             a_ris = phase_ramp(n_i, 2.0 * p.ris_index / n_i)
             rebuilt += p.gain * np.outer(a_bs, np.conj(a_ris))
-        npt.assert_allclose(real.G, rebuilt, atol=1e-12)
+        npt.assert_allclose(G, rebuilt, atol=1e-12)
 
     def test_planar_draw_uses_axis_pairs(self):
         cfg = dataclasses.replace(SystemConfig(), geometry=ArrayGeometry.upa(8, 16), n_users=4)
@@ -159,7 +165,7 @@ class TestGenerateChannels:
         for p in real.g_paths:
             az, el = p.ris_index
             assert 0 <= az < 8 and 0 <= el < 16
-        flat = [flat_ris_index(real.geometry, p.ris_index) for p in real.g_paths]
+        flat = [np.ravel_multi_index(p.ris_index, (8, 16)) for p in real.g_paths]
         assert len(set(flat)) == len(flat)
         npt.assert_allclose(
             ris_steering(real.geometry, real.g_paths[0].ris_index),
@@ -188,13 +194,14 @@ class TestCascadeSpatial:
             cascade_spatial(np.ones((3, 5)), np.ones(4))
 
     def test_single_path_matches_analytic_outer_product(self):
-        real = assemble_channels(
-            8,
+        real = ChannelRealization(
             ArrayGeometry.ula(16),
+            8,
             [RisBsPath(gain=1.3 + 0.2j, bs_index=3, ris_index=7)],
             [[UeRisPath(gain=-0.4 + 0.9j, ris_index=2)]],
         )
-        got = cascade_spatial(real.G, real.h[0])
+        G, h = dense_channels(real)
+        got = cascade_spatial(G, h[0])
         npt.assert_allclose(got, double_sum_cascade(real)[0], atol=1e-10)
 
     def test_random_draws_match_double_sum(self):
@@ -202,8 +209,9 @@ class TestCascadeSpatial:
         for seed in range(5):
             real = generate_channels(cfg, np.random.default_rng(seed))
             expected = double_sum_cascade(real)
+            G, h = dense_channels(real)
             for k in range(3):
-                got = cascade_spatial(real.G, real.h[k])
+                got = cascade_spatial(G, h[k])
                 assert np.linalg.norm(got - expected[k]) < 1e-10
 
     def test_planar_draws_match_double_sum(self):
@@ -213,6 +221,7 @@ class TestCascadeSpatial:
         for seed in range(3):
             real = generate_channels(cfg, np.random.default_rng(seed))
             expected = double_sum_cascade(real)
+            G, h = dense_channels(real)
             for k in range(2):
-                got = cascade_spatial(real.G, real.h[k])
+                got = cascade_spatial(G, h[k])
                 assert np.linalg.norm(got - expected[k]) < 1e-10

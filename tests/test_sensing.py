@@ -8,14 +8,16 @@ import numpy.testing as npt
 import pytest
 
 from risce.channel import (
+    ChannelRealization,
     RisBsPath,
     UeRisPath,
-    assemble_channels,
     cascade_spatial,
+    dense_channels,
     generate_channels,
 )
 from risce.config import ArrayGeometry, SystemConfig
 from risce.harness import trial_rng
+from risce.numerics import dft_matrix
 from risce.sensing import (
     GroundTruth,
     StructureViolation,
@@ -49,15 +51,16 @@ class TestPhaseSchedule:
 
 class TestSensingSetup:
     def test_sensing_matrix_definition(self):
-        setup = make_sensing_setup(8, ArrayGeometry.ula(16), 4, np.random.default_rng(1))
-        npt.assert_array_equal(setup.sensing_matrix, setup.phases.conj().T @ setup.f_ris.conj().T)
-        assert setup.sensing_matrix.shape == (4, 16)
-
-    def test_planar_dft_is_kronecker(self):
-        setup = make_sensing_setup(8, ArrayGeometry.upa(4, 8), 4, np.random.default_rng(2))
-        from risce.numerics import dft_matrix
-
-        npt.assert_allclose(setup.f_ris, np.kron(dft_matrix(4), dft_matrix(8)), atol=1e-14)
+        # A = phases^H @ f_ris^H, with the Kronecker DFT for planar arrays
+        cases = [
+            (ArrayGeometry.ula(16), dft_matrix(16)),
+            (ArrayGeometry.upa(4, 8), np.kron(dft_matrix(4), dft_matrix(8))),
+        ]
+        for seed, (geometry, f_ris) in enumerate(cases, start=1):
+            setup = make_sensing_setup(8, geometry, 4, np.random.default_rng(seed))
+            assert setup.sensing_matrix.shape == (4, geometry.n_elements)
+            expected = setup.phases.conj().T @ f_ris.conj().T
+            npt.assert_allclose(setup.sensing_matrix, expected, rtol=0, atol=1e-12)
 
     def test_column_norm_concentration(self):
         # random phases keep every sensing column within a factor 2 of sqrt(T)
@@ -70,34 +73,32 @@ class TestSensingSetup:
 
 class TestBeamspaceCascaded:
     def test_all_dc_single_entry(self):
-        real = assemble_channels(
-            8,
+        real = ChannelRealization(
             ArrayGeometry.ula(16),
+            8,
             [RisBsPath(gain=1.0 + 0.0j, bs_index=0, ris_index=0)],
             [[UeRisPath(gain=1.0 + 0.0j, ris_index=0)]],
         )
-        setup = make_sensing_setup(8, real.geometry, 4, np.random.default_rng(0))
-        H = beamspace_cascaded(real.G, real.h[0], setup)
+        G, h = dense_channels(real)
+        H = beamspace_cascaded(G, h[0], real.geometry)
         assert abs(H[0, 0] - 1.0 / np.sqrt(16)) < 1e-12
         H[0, 0] = 0.0
         assert np.max(np.abs(H)) < 1e-12
 
     def test_matches_fft_oracle(self):
         cfg = dataclasses.replace(SystemConfig(), n_users=2)
-        real = generate_channels(cfg, np.random.default_rng(3))
-        setup = make_sensing_setup(cfg.n_bs, cfg.geometry, 4, np.random.default_rng(4))
+        G, h = dense_channels(generate_channels(cfg, np.random.default_rng(3)))
         for k in range(2):
-            got = beamspace_cascaded(real.G, real.h[k], setup)
-            expected = independent_beamspace(cascade_spatial(real.G, real.h[k]))
+            got = beamspace_cascaded(G, h[k], cfg.geometry)
+            expected = independent_beamspace(cascade_spatial(G, h[k]))
             assert np.linalg.norm(got - expected) < 1e-10
 
     def test_transform_round_trip(self):
         cfg = SystemConfig()
-        real = generate_channels(cfg, np.random.default_rng(9))
-        setup = make_sensing_setup(cfg.n_bs, cfg.geometry, 4, np.random.default_rng(9))
-        H = beamspace_cascaded(real.G, real.h[0], setup)
-        back = setup.f_ris.conj().T @ H @ setup.f_bs
-        spatial = cascade_spatial(real.G, real.h[0])
+        G, h = dense_channels(generate_channels(cfg, np.random.default_rng(9)))
+        H = beamspace_cascaded(G, h[0], cfg.geometry)
+        back = dft_matrix(cfg.geometry.n_elements).conj().T @ H @ dft_matrix(cfg.n_bs)
+        spatial = cascade_spatial(G, h[0])
         assert np.linalg.norm(back - spatial.conj().T) < 1e-9
 
     def test_user_grid_shift_moves_row_support(self):
@@ -107,14 +108,13 @@ class TestBeamspaceCascaded:
             RisBsPath(gain=0.8 - 0.1j, bs_index=2, ris_index=4),
             RisBsPath(gain=1.1 + 0.5j, bs_index=9, ris_index=21),
         ]
-        setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
         qa, qb = 5, 18
         rows = {}
         for q in (qa, qb):
-            real = assemble_channels(
-                16, geometry, g_paths, [[UeRisPath(gain=1.0 + 0.0j, ris_index=q)]]
+            G, h = dense_channels(
+                ChannelRealization(geometry, 16, g_paths, [[UeRisPath(gain=1.0 + 0.0j, ris_index=q)]])
             )
-            H = beamspace_cascaded(real.G, real.h[0], setup)
+            H = beamspace_cascaded(G, h[0], geometry)
             rows[q] = np.flatnonzero(np.max(np.abs(H), axis=1) > 1e-9)
         expected = np.sort((rows[qa] + (qa - qb)) % 32)
         npt.assert_array_equal(rows[qb], expected)
@@ -122,9 +122,9 @@ class TestBeamspaceCascaded:
     def test_occupied_columns_and_rows_count(self):
         cfg = SystemConfig()
         real = generate_channels(cfg, np.random.default_rng(12))
-        setup = make_sensing_setup(cfg.n_bs, cfg.geometry, cfg.n_pilots, np.random.default_rng(12))
+        G, h = dense_channels(real)
         for k in range(cfg.n_users):
-            H = beamspace_cascaded(real.G, real.h[k], setup)
+            H = beamspace_cascaded(G, h[k], cfg.geometry)
             occupied_cols = np.flatnonzero(np.max(np.abs(H), axis=0) > 1e-9)
             assert occupied_cols.size == cfg.bs_paths
             for c in occupied_cols:
@@ -203,7 +203,7 @@ class TestExtractGroundTruth:
             RisBsPath(gain=1.0 + 0.0j, bs_index=5, ris_index=9),
         ]
         h_paths = [[UeRisPath(gain=1.0 + 0.0j, ris_index=0)]]
-        real = assemble_channels(16, geometry, g_paths, h_paths)
+        real = ChannelRealization(geometry, 16, g_paths, h_paths)
         setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
         with pytest.raises(StructureViolation):
             extract_ground_truth(real, setup)
@@ -226,12 +226,14 @@ class TestExtractGroundTruth:
                 [RisBsPath(0j, 5, 2), RisBsPath(1.0 + 0.0j, 7, 9)],
                 [[UeRisPath(1.0 + 0.0j, 3)]],
             ),
+            # no reflector-to-BS path leaves every column empty
+            ([], [[UeRisPath(1.0 + 0.0j, 3)]]),
         ],
-        ids=["repeated-user-index", "zero-user-gain", "zero-bs-gain"],
+        ids=["repeated-user-index", "zero-user-gain", "zero-bs-gain", "empty-g-paths"],
     )
     def test_malformed_path_lists_are_rejected(self, g_paths, h_paths):
         geometry = ArrayGeometry.ula(32)
-        real = assemble_channels(16, geometry, g_paths, h_paths)
+        real = ChannelRealization(geometry, 16, g_paths, h_paths)
         setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
         with pytest.raises(StructureViolation):
             extract_ground_truth(real, setup)
@@ -250,8 +252,9 @@ class TestExtractGroundTruth:
             real = generate_channels(cfg, rng)
             setup = make_sensing_setup(cfg.n_bs, geometry, 4, rng)
             truth = extract_ground_truth(real, setup)
+            G, h = dense_channels(real)
             for k in range(cfg.n_users):
-                dense = beamspace_cascaded(real.G, real.h[k], setup)
+                dense = beamspace_cascaded(G, h[k], geometry)
                 worst = max(worst, float(np.max(np.abs(truth.H[k] - dense))))
                 expected = {
                     (row, c)
@@ -314,6 +317,15 @@ class TestSimulateMeasurements:
                 noise_power += float(np.sum(np.abs(meas.Y[k] - clean) ** 2))
         empirical_db = 10.0 * np.log10(signal_power / noise_power)
         assert abs(empirical_db - 0.0) < 0.5
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    def test_non_finite_snr_rejected_before_any_noise_draw(self, snr_db):
+        _, setup, truth, _, _ = build_trial(SystemConfig())
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="snr_db"):
+            simulate_measurements(truth, setup, snr_db, rng)
+        assert rng.bit_generator.state == state
 
     def test_noise_variance_scales_with_snr(self):
         cfg = SystemConfig()

@@ -7,7 +7,7 @@ independent implementation rather than against itself.
 
 import numpy as np
 
-from risce.channel import RisBsPath, UeRisPath, assemble_channels, generate_channels
+from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
 from risce.config import ArrayGeometry
 from risce.estimators import EstimatorInput
 from risce.harness import trial_rng
@@ -37,7 +37,7 @@ def double_sum_cascade(realization) -> list[np.ndarray]:
     ramp at the difference of the two reflector-side grid sines.
     """
     geom = realization.geometry
-    n_bs = realization.G.shape[0]
+    n_bs = realization.n_bs
     n_i = geom.n_elements
     out = []
     for user_paths in realization.h_paths:
@@ -75,7 +75,7 @@ def known_shift_scenario(n_users: int = 2):
         [UeRisPath(gain=1.0 + 0.0j, ris_index=q) for q in user]
         for user in arrivals[:n_users]
     ]
-    realization = assemble_channels(64, geometry, g_paths, h_paths)
+    realization = ChannelRealization(geometry, 64, g_paths, h_paths)
     expected_offsets = [0, -16, -10]
     expected_rows_user0 = [
         [20, 35, 38, 50],
