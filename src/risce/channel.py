@@ -70,11 +70,8 @@ class ChannelRealization:
 
 
 def ris_steering(geometry: ArrayGeometry, index: RisIndex) -> np.ndarray:
-    """Reflector-side steering vector for a grid index (an int, or an axis pair for planar arrays)."""
-    if geometry.is_planar:
-        az, el = index
-        return steering_upa(geometry.n1, geometry.n2, az, el)
-    return steering_ula(geometry.n1, int(index))
+    """Reflector-side steering vector for a grid index in public form (see ArrayGeometry)."""
+    return steering_upa(geometry.n1, geometry.n2, *geometry.to_pair(index))
 
 
 def dense_channels(realization: ChannelRealization) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -120,7 +117,7 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
     g_gains = _complex_gains(rng, config.bs_paths)
     g_paths = []
     for gain, bs_idx, flat in zip(g_gains, bs_indices, ris_flat):
-        ris_idx: RisIndex = tuple(divmod(int(flat), geometry.n2)) if geometry.is_planar else int(flat)
+        ris_idx = geometry.to_public(divmod(int(flat), geometry.n2))
         g_paths.append(RisBsPath(gain=complex(gain), bs_index=int(bs_idx), ris_index=ris_idx))
 
     lo, hi = config.ue_paths
@@ -131,7 +128,7 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
         ue_gains = _complex_gains(rng, n_paths)
         user_paths = []
         for gain, flat in zip(ue_gains, ue_flat):
-            ris_idx = tuple(divmod(int(flat), geometry.n2)) if geometry.is_planar else int(flat)
+            ris_idx = geometry.to_public(divmod(int(flat), geometry.n2))
             user_paths.append(UeRisPath(gain=complex(gain), ris_index=ris_idx))
         h_paths.append(user_paths)
 

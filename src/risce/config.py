@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -14,13 +15,28 @@ def is_noiseless(snr_db: float | None) -> bool:
     return snr_db is None or snr_db == math.inf
 
 
+def snr_ratio(snr_db: float) -> float:
+    """Linear SNR 10**(snr_db/10); ValueError unless it is a normal float (-3076 to +3082 dB)."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not sys.float_info.min <= ratio < math.inf:
+        raise ValueError(f"snr_db must be +inf, None or about -3076 to +3082 dB, got {snr_db!r}")
+    return ratio
+
+
 def _is_int(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Reflector element layout: linear ("ula", n1 elements) or planar ("upa", n1 x n2)."""
+    """Reflector element layout: linear ("ula", n1 elements) or planar ("upa", n1 x n2).
+
+    Both are the (n1, n2) element grid, flat index i1 * n2 + i2; a linear array
+    has n2 == 1 and differs only in the public form of indices and offsets.
+    """
 
     kind: str
     n1: int
@@ -50,13 +66,22 @@ class ArrayGeometry:
     def is_planar(self) -> bool:
         return self.kind == "upa"
 
+    def to_public(self, pair) -> int | tuple[int, int]:
+        """A per-axis pair (i1, i2) in public form: i1 for linear arrays, (i1, i2) for planar."""
+        i1, i2 = int(pair[0]), int(pair[1])
+        return (i1, i2) if self.is_planar else i1
+
+    def to_pair(self, value) -> tuple[int, int]:
+        """Inverse of to_public: the per-axis pair of a public index or offset."""
+        return (int(value[0]), int(value[1])) if self.is_planar else (int(value), 0)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
     """One benchmark scenario.
 
     Every field is checked at construction.  snr_db of None or +inf runs
-    noiseless; any other value must be finite.  bs_paths is the number of
+    noiseless; any other value must pass snr_ratio.  bs_paths is the number of
     reflector-to-BS paths (the shared beamspace column count) and ue_paths
     bounds the per-user path count drawn uniformly at random, inclusive on
     both ends.
@@ -88,9 +113,10 @@ class SystemConfig:
         lo, hi = self.ue_paths
         if not (_is_int(lo) and _is_int(hi)) or not 1 <= lo <= hi <= n_i:
             raise ValueError(f"ue_paths range ({lo}, {hi}) invalid for {n_i} reflector elements")
-        finite = isinstance(self.snr_db, Real) and not isinstance(self.snr_db, bool)
-        if not is_noiseless(self.snr_db) and not (finite and math.isfinite(self.snr_db)):
-            raise ValueError(f"snr_db must be a finite number, +inf or None, got {self.snr_db!r}")
+        if not is_noiseless(self.snr_db):
+            if not isinstance(self.snr_db, Real) or isinstance(self.snr_db, bool):
+                raise ValueError(f"snr_db must be a number, +inf or None, got {self.snr_db!r}")
+            snr_ratio(self.snr_db)
         if not self.estimators:
             raise ValueError("at least one estimator must be selected")
         if len(set(self.estimators)) != len(self.estimators):

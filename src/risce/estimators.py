@@ -17,15 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ArrayGeometry
-from .numerics import (
-    circ_xcorr_1d,
-    circ_xcorr_2d,
-    ls_solve,
-    peak_shift_1d,
-    peak_shift_2d,
-    top_l_indices,
-)
-from .sensing import GroundTruth, Offset, roll_map, shift_indices
+from .numerics import circ_xcorr_2d, ls_solve, peak_shift_2d, top_l_indices
+from .sensing import GroundTruth, Offset, roll_map
+
+# the benchmark tracer wraps this name on this module, so it stays imported here
+from .numerics import circ_xcorr_1d  # noqa: F401
 
 __all__ = [
     "EstimatorInput",
@@ -123,10 +119,6 @@ class OffsetUndetermined(RuntimeError):
         super().__init__(f"offset undetermined for columns {failed}")
         self.offsets = offsets
         self.failed = failed
-
-
-def _zero(geometry: ArrayGeometry) -> Offset:
-    return (0, 0) if geometry.is_planar else 0
 
 
 def joint_column_support(Y: list[np.ndarray], n_columns: int) -> np.ndarray:
@@ -260,31 +252,24 @@ def estimate_common_offsets(
 ) -> list[Offset]:
     """Shared circular shifts between the first retained column and each other one.
 
-    Per column, the per-user correlation magnitudes between the coarse
-    reference column and the coarse target column are summed over users and
-    the signed peak lag is taken.  The first column is the reference (zero
-    shift).  Raises OffsetUndetermined, carrying zero-shift fallbacks, if some
-    column has no correlation mass at all.
+    Each user's coarse columns are laid out on the (n1, n2) element grid (a
+    linear array is n2 == 1).  One batched 2-D circular correlation of every
+    user's reference column against each of its columns gives a map per
+    (user, column); the maps are summed over users, in user order, and each
+    column's offset is the per-axis signed lag of its peak.  The first column
+    is the reference (zero shift).  Raises OffsetUndetermined, carrying
+    zero-shift fallbacks, if some column has no correlation mass at all.
     """
-    n_cols = coarse_cols[0].shape[1]
-    offsets: list[Offset] = [_zero(geometry)]
-    failed: list[int] = []
-    for j in range(1, n_cols):
-        acc: np.ndarray | None = None
-        for h0 in coarse_cols:
-            if geometry.is_planar:
-                n1, n2 = geometry.n1, geometry.n2
-                corr = circ_xcorr_2d(h0[:, 0].reshape(n1, n2), h0[:, j].reshape(n1, n2))
-            else:
-                corr = circ_xcorr_1d(h0[:, 0], h0[:, j])
-            acc = corr if acc is None else acc + corr
-        if not np.any(acc > 0.0):
-            offsets.append(_zero(geometry))
-            failed.append(j)
-        elif geometry.is_planar:
-            offsets.append(peak_shift_2d(acc))
-        else:
-            offsets.append(peak_shift_1d(acc))
+    n_users, n_cols = len(coarse_cols), coarse_cols[0].shape[1]
+    maps = np.stack(coarse_cols).transpose(0, 2, 1)
+    maps = maps.reshape(n_users, n_cols, geometry.n1, geometry.n2)
+    corr = circ_xcorr_2d(np.broadcast_to(maps[:, :1], maps.shape), maps).sum(axis=0)
+    zero = geometry.to_public((0, 0))
+    failed = [j for j in range(1, n_cols) if not np.any(corr[j] > 0.0)]
+    offsets: list[Offset] = [
+        zero if j == 0 or j in failed else geometry.to_public(peak_shift_2d(corr[j]))
+        for j in range(n_cols)
+    ]
     if failed:
         raise OffsetUndetermined(offsets, failed)
     return offsets
@@ -358,7 +343,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     col_sets = [cols] * len(inp.Y)
     diagnostics: dict = {"offset_fallback": []}
     if inp.n_columns == 1:
-        offsets: list[Offset] = [_zero(inp.geometry)]
+        offsets: list[Offset] = [inp.geometry.to_public((0, 0))]
     else:
         coarse, _ = _column_pursuits(inp, col_sets)
         try:
@@ -421,10 +406,11 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     """Least squares on the true supports; the performance bound for support-aware recovery."""
     a = inp.sensing_matrix
     n_bs = inp.Y[0].shape[1]
+    rolls = [roll_map(offset, inp.geometry) for offset in truth.offsets]
     systems = [
-        (k, c, shift_indices(pattern, truth.offsets[j], inp.geometry))
+        (k, c, np.sort(roll[pattern]))
         for k, pattern in enumerate(truth.row_patterns)
-        for j, c in enumerate(truth.col_support)
+        for c, roll in zip(truth.col_support, rolls)
     ]
     H_hat = [np.zeros((inp.geometry.n_elements, n_bs), dtype=complex) for _ in inp.Y]
     rank_flag = False

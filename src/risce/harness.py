@@ -52,18 +52,15 @@ def nmse_linear(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
     return err / energy
 
 
-def nmse(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
-    """NMSE in dB, floored at NMSE_FLOOR_DB so exact recovery stays finite."""
-    ratio = nmse_linear(H_hat, H_true)
-    if ratio <= 0.0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * math.log10(ratio), NMSE_FLOOR_DB)
-
-
 def _to_db(mean_linear: float) -> float:
     if mean_linear <= 0.0:
         return NMSE_FLOOR_DB
     return max(10.0 * math.log10(mean_linear), NMSE_FLOOR_DB)
+
+
+def nmse(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
+    """NMSE in dB, floored at NMSE_FLOOR_DB so exact recovery stays finite."""
+    return _to_db(nmse_linear(H_hat, H_true))
 
 
 @dataclass

@@ -16,7 +16,6 @@ __all__ = [
     "ls_solve",
     "top_l_indices",
     "signed_shift",
-    "peak_shift_1d",
     "peak_shift_2d",
 ]
 
@@ -49,14 +48,15 @@ def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """2-D analogue of :func:`circ_xcorr_1d`, wrapping each axis independently.
 
-    c[d1, d2] = |sum_{m1,m2} conj(u[m1, m2]) * v[(m1 + d1) mod n1, (m2 + d2) mod n2]|.
+    c[d1, d2] = |sum_{m1,m2} conj(u[m1, m2]) * v[(m1 + d1) mod n1, (m2 + d2) mod n2]|
+    over the last two axes; any leading axes index a batch of map pairs.
     """
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.ndim != 2 or u.shape != v.shape:
-        raise ValueError(f"expected equal-shape matrices, got {u.shape} and {v.shape}")
+    if u.ndim < 2 or u.shape != v.shape:
+        raise ValueError(f"expected equal-shape arrays of 2-D or more, got {u.shape} and {v.shape}")
     if u.size == 0:
-        raise ValueError("matrices must be non-empty")
+        raise ValueError("arrays must be non-empty")
     return np.abs(np.fft.ifft2(np.conj(np.fft.fft2(u)) * np.fft.fft2(v)))
 
 
@@ -96,14 +96,8 @@ def signed_shift(index: int, period: int) -> int:
     return index - period if index >= (period + 1) // 2 else index
 
 
-def peak_shift_1d(corr: np.ndarray) -> int:
-    """Signed lag of the largest correlation magnitude (first index wins ties)."""
-    corr = np.asarray(corr)
-    return signed_shift(int(np.argmax(corr)), corr.size)
-
-
 def peak_shift_2d(corr: np.ndarray) -> tuple[int, int]:
-    """Per-axis signed lags of the largest entry of a 2-D correlation map."""
+    """Per-axis signed lags of the largest entry of a 2-D correlation map (first wins ties)."""
     corr = np.asarray(corr)
     d1, d2 = np.unravel_index(int(np.argmax(corr)), corr.shape)
     return signed_shift(int(d1), corr.shape[0]), signed_shift(int(d2), corr.shape[1])

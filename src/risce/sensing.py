@@ -5,13 +5,13 @@ Measurement convention for user k:
 
     Y_k = A @ H_k + W_k,      A = phases^H @ f_ris^H   (n_pilots x n_elements)
 
-where f_ris and f_bs are unitary DFTs (Kronecker form over the two axes for
-planar reflectors), H_k = f_ris @ (G @ diag(h_k))^H @ f_bs^H is the beamspace
-cascaded channel (rows: reflector beams, columns: BS beams) and W_k is white
-complex Gaussian noise.  A is an orthonormal inverse FFT of the conjugated
-phases: row t is the 2-D inverse FFT of conj(phases[:, t]) laid out on the
-(n1, n2) element grid (1-D for linear arrays, n2 == 1), so no DFT matrix is
-formed.
+where f_bs is the unitary DFT and f_ris = kron(dft(n1), dft(n2)) its
+Kronecker form over the (n1, n2) element grid, H_k = f_ris @ (G @ diag(h_k))^H
+@ f_bs^H is the beamspace cascaded channel (rows: reflector beams, columns: BS
+beams) and W_k is white complex Gaussian noise.  A is an orthonormal inverse
+FFT of the conjugated phases: row t is the 2-D inverse FFT of conj(phases[:, t])
+laid out on the element grid, so no DFT matrix is formed.  A linear array is
+the n2 == 1 grid: both layouts take one code path, with shifts per grid axis.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, cascade_spatial
-from .config import ArrayGeometry, is_noiseless
+from .config import ArrayGeometry, is_noiseless, snr_ratio
 from .numerics import dft_matrix, signed_shift
 
 # the benchmark tracer wraps these two names on this module, so they stay imported here
@@ -76,7 +76,7 @@ def make_sensing_setup(
     """Draw a phase schedule and build the sensing matrix for one trial."""
     # n_bs is unused; it stays because perfbench/kernels.py calls this positionally
     phases = generate_phase_schedule(geometry.n_elements, n_pilots, rng)
-    # one 2-D inverse FFT per pilot over the (n1, n2) axes; a linear array has n2 == 1
+    # one 2-D inverse FFT per pilot over the (n1, n2) element grid
     grid = phases.conj().T.reshape(n_pilots, geometry.n1, geometry.n2)
     sensing_matrix = np.fft.ifft2(grid, norm="ortho").reshape(n_pilots, geometry.n_elements)
     # the FFT returns A column-major; keep the row-major layout the estimators were measured with
@@ -91,23 +91,18 @@ def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, geometry: ArrayGeometry) 
     The model's dense definition: the reference the closed-form truth is tested against.
     """
     spatial = cascade_spatial(G, h_k)
-    if geometry.is_planar:
-        f_ris = np.kron(dft_matrix(geometry.n1), dft_matrix(geometry.n2))
-    else:
-        f_ris = dft_matrix(geometry.n1)
+    f_ris = np.kron(dft_matrix(geometry.n1), dft_matrix(geometry.n2))
     return f_ris @ spatial.conj().T @ dft_matrix(G.shape[0]).conj().T
 
 
 def _shift(idx: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    if geometry.is_planar:
-        d1, d2 = offset
-        r1, r2 = np.divmod(idx, geometry.n2)
-        return ((r1 + int(d1)) % geometry.n1) * geometry.n2 + (r2 + int(d2)) % geometry.n2
-    return (idx + int(offset)) % geometry.n_elements
+    d1, d2 = geometry.to_pair(offset)
+    r1, r2 = np.divmod(idx, geometry.n2)
+    return ((r1 + d1) % geometry.n1) * geometry.n2 + (r2 + d2) % geometry.n2
 
 
 def shift_indices(indices: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    """Circularly shift flat element indices by an offset (per axis for planar arrays)."""
+    """Circularly shift flat element indices by an offset, per axis of the element grid."""
     return np.sort(_shift(np.asarray(indices, dtype=int), offset, geometry))
 
 
@@ -116,43 +111,40 @@ def roll_map(offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
     return _shift(np.arange(geometry.n_elements), offset, geometry)
 
 
-def _axis_array(indices: list, geometry: ArrayGeometry) -> np.ndarray:
-    """Reflector grid indices as a (paths x axes) integer array."""
-    return np.array(indices, dtype=int).reshape(len(indices), 2 if geometry.is_planar else 1)
-
-
 def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -> GroundTruth:
     """Build the sparse beamspace channels and their joint sparsity metadata from the path lists.
 
     On the grid, BS path p (beam b_p, reflector index r_p, gain g_p) and user
     path q (reflector index u_q, gain h_q) fill exactly one entry of H_k:
-    conj(g_p * h_q) / sqrt(N_I) at row (r_p - u_q) mod N_I (per axis for
-    planar arrays) and column b_p.  So the columns are the BS beams, each
-    column's rows are the user's pattern shifted by r_p - r_0, and the shifts
-    are the same for every user.  Raises StructureViolation for path lists that
-    break this one-entry-per-pair form: no BS path, two BS paths on one BS
-    beam, two paths of one user on one reflector index, or a zero gain.
+    conj(g_p * h_q) / sqrt(N_I) at column b_p and at row r_p - u_q, taken per
+    axis modulo the (n1, n2) grid and flattened.  So the columns are the BS
+    beams, each column's rows are the user's pattern shifted by r_p - r_0, and
+    the shifts are the same for every user.  Raises StructureViolation for
+    path lists that break this one-entry-per-pair form: no BS path, two BS
+    paths on one BS beam, two paths of one user on one reflector index, or a
+    zero gain.
     """
     geometry = setup.geometry
-    dims = (geometry.n1, geometry.n2) if geometry.is_planar else (geometry.n_elements,)
+    dims = (geometry.n1, geometry.n2)
     if not realization.g_paths:
         raise StructureViolation("no reflector-to-BS path: every column is empty")
     g_paths = sorted(realization.g_paths, key=lambda path: path.bs_index)
     col_support = np.array([path.bs_index for path in g_paths], dtype=int)
     if np.unique(col_support).size != col_support.size:
         raise StructureViolation("two reflector-to-BS paths share one BS beam")
-    g_ris = _axis_array([path.ris_index for path in g_paths], geometry)
+    g_ris = np.array([geometry.to_pair(path.ris_index) for path in g_paths], dtype=int)
     g_gains = np.array([path.gain for path in g_paths], dtype=complex)
 
-    offsets: list[Offset] = []
-    for ris in g_ris:
-        shift = tuple(signed_shift(d, n) for d, n in zip(ris - g_ris[0], dims))
-        offsets.append(shift if geometry.is_planar else shift[0])
+    offsets: list[Offset] = [
+        geometry.to_public([signed_shift(d, n) for d, n in zip(ris - g_ris[0], dims)])
+        for ris in g_ris
+    ]
 
     H: list[np.ndarray] = []
     row_patterns: list[np.ndarray] = []
     for k, user_paths in enumerate(realization.h_paths):
-        u_ris = _axis_array([path.ris_index for path in user_paths], geometry)
+        pairs = [geometry.to_pair(path.ris_index) for path in user_paths]
+        u_ris = np.array(pairs, dtype=int).reshape(-1, 2)
         u_gains = np.array([path.gain for path in user_paths], dtype=complex)
         # rows[p, q]: flat row of the (BS path p, user path q) entry
         axes = (g_ris[:, None, :] - u_ris[None, :, :]) % dims
@@ -180,18 +172,20 @@ def simulate_measurements(
 
     The noise variance is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
-    snr_db; snr_db of None or +inf disables noise, and any other value must be
-    finite (ValueError otherwise, raised before any noise is drawn).
+    snr_db; snr_db of None or +inf disables noise.  Any other value must have
+    a normal-float linear ratio (see config.snr_ratio) and give a finite
+    variance; ValueError otherwise, raised before any noise is drawn.
     """
-    if not is_noiseless(snr_db) and not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be a finite number, +inf or None, got {snr_db!r}")
+    ratio = None if is_noiseless(snr_db) else snr_ratio(snr_db)
     a = setup.sensing_matrix
     signal = [a @ H_k for H_k in truth.H]
     n_pilots, n_bs = signal[0].shape
-    if is_noiseless(snr_db):
+    if ratio is None:
         return MeasurementSet(Y=[s.copy() for s in signal], noise_variance=0.0)
     mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
-    variance = mean_power / (n_pilots * n_bs * 10.0 ** (snr_db / 10.0))
+    variance = mean_power / (n_pilots * n_bs * ratio)
+    if not math.isfinite(variance):
+        raise ValueError(f"noise variance {variance!r} at snr_db={snr_db!r} is not finite")
     scale = np.sqrt(variance / 2.0)
     Y = []
     for s in signal:

@@ -25,7 +25,7 @@ from risce.estimators import (
     estimate_triple_structured,
     joint_column_support,
 )
-from risce.harness import emit_results, run_sweep, trial_rng
+from risce.harness import SweepResult, _aggregate, emit_results, run_sweep, trial_rng
 from util import build_trial, double_sum_cascade, per_user_nmse_db, record
 
 TOL_DB = 1.5
@@ -34,8 +34,17 @@ T_LONG = 2 * SystemConfig().geometry.n_elements
 
 
 @pytest.fixture(scope="module")
-def canonical():
-    return run_sweep(SystemConfig(), "pilot_length", [T_LOW, T_HIGH])
+def canonical(canonical_trials):
+    """The canonical sweep as run_sweep returns it, aggregated from the shared trials."""
+    cells = {
+        (pilots, name): _aggregate(
+            [record[1] for record in records if record is not None],
+            sum(record is None for record in records),
+        )
+        for pilots, per_estimator in canonical_trials.items()
+        for name, records in per_estimator.items()
+    }
+    return SweepResult("pilot_length", list(canonical_trials), SystemConfig().estimators, cells)
 
 
 @pytest.fixture(scope="module")

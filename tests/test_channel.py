@@ -172,6 +172,14 @@ class TestGenerateChannels:
             steering_upa(8, 16, *real.g_paths[0].ris_index),
             atol=1e-15,
         )
+        assert all(type(i) is int for p in real.g_paths for i in p.ris_index)
+        # a linear array runs as the n2 == 1 grid, but its indices stay plain ints
+        ula = dataclasses.replace(cfg, geometry=ArrayGeometry.ula(128))
+        linear = generate_channels(ula, np.random.default_rng(5))
+        paths = linear.g_paths + [p for user in linear.h_paths for p in user]
+        assert all(type(p.ris_index) is int for p in paths)
+        first = paths[0].ris_index
+        npt.assert_array_equal(ris_steering(ula.geometry, first), steering_ula(128, first))
 
     def test_invalid_sparsity_rejected(self):
         with pytest.raises(ValueError):

@@ -172,6 +172,12 @@ class TestErrors:
         assert "snr_db" in capsys.readouterr().err
         assert main(["single", *SMALL, "--snr-db=-inf"]) == 1
         assert main(["sweep-snr", *SMALL, "--values", "0,nan"]) == 1
+        capsys.readouterr()
+        # finite, but 10**(snr_db/10) overflows or underflows
+        for flag in ("--snr-db=4000", "--snr-db=-4000"):
+            assert main(["single", *SMALL, "--trials", "1", flag]) == 1
+            err = capsys.readouterr().err
+            assert "snr_db" in err and "Traceback" not in err
 
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as info:

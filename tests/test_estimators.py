@@ -231,19 +231,24 @@ class TestCommonOffsets:
     def test_single_user_identical_columns(self):
         rng = np.random.default_rng(4)
         col = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        coarse = [np.column_stack([col, col])]
-        assert estimate_common_offsets(coarse, ArrayGeometry.ula(32)) == [0, 0]
+        for geometry in (ArrayGeometry.ula(32), ArrayGeometry.upa(4, 8)):
+            zero = geometry.to_public((0, 0))
+            # one retained column is the reference alone: its offset is zero by definition
+            for n_cols in (1, 2):
+                coarse = [np.column_stack([col] * n_cols)]
+                assert estimate_common_offsets(coarse, geometry) == [zero] * n_cols
 
     def test_planar_known_shift(self):
-        geometry = ArrayGeometry.upa(8, 16)
-        rng = np.random.default_rng(6)
-        ref = np.zeros((8, 16), dtype=complex)
-        ref[1, 2] = 1.0 + 0.3j
-        ref[5, 7] = -0.4 + 1.0j
-        ref[2, 11] = 0.9 - 0.2j
-        shifted = np.roll(ref, (3, -6), axis=(0, 1))
-        coarse = [np.column_stack([ref.ravel(), shifted.ravel()])]
-        assert estimate_common_offsets(coarse, geometry) == [(0, 0), (3, -6)]
+        # the flat grids 1x16 and 16x1 pin the axis order of the offset pair
+        for shape, shift in (((8, 16), (3, -6)), ((1, 16), (0, -6)), ((16, 1), (3, 0))):
+            geometry = ArrayGeometry.upa(*shape)
+            ref = np.zeros(shape, dtype=complex)
+            entries = {(1, 2): 1.0 + 0.3j, (5, 7): -0.4 + 1.0j, (2, 11): 0.9 - 0.2j}
+            for (i1, i2), value in entries.items():
+                ref[i1 % shape[0], i2 % shape[1]] = value
+            shifted = np.roll(ref, shift, axis=(0, 1))
+            coarse = [np.column_stack([ref.ravel(), shifted.ravel()])]
+            assert estimate_common_offsets(coarse, geometry) == [(0, 0), shift]
 
     def test_dead_column_raises_with_fallback(self):
         rng = np.random.default_rng(5)

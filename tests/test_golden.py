@@ -7,60 +7,25 @@ estimator it stores a SHA-256 over the integer results (column support,
 offsets, row patterns and each user's nonzero index set) and the linear NMSE.
 Integer results must match exactly and NMSE to 1e-9 relative.  The file is a
 fixed record of that earlier code: never regenerate it from the current one.
+The digests come from util.structure_digest; the trials run once per session,
+in the canonical_trials fixture of conftest.py, which the acceptance checks
+share.
 """
 
-import dataclasses
-import hashlib
 import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from risce.config import SystemConfig
-from risce.harness import ESTIMATORS, nmse_linear
-from util import build_trial
 
 GOLDEN = Path(__file__).with_name("golden_canonical.json")
 NMSE_REL_TOL = 1e-9
 
 
-def structure_digest(report) -> str:
-    """SHA-256 of an estimate's integer results, independent of its coefficients."""
-
-    def ints(values):
-        return None if values is None else [int(v) for v in np.asarray(values).ravel()]
-
-    record = {
-        "col_support": ints(report.col_support),
-        "offsets": None if report.offsets is None else [ints(d) for d in report.offsets],
-        "row_patterns": (
-            None if report.row_patterns is None else [ints(p) for p in report.row_patterns]
-        ),
-        "nonzero": [ints(np.flatnonzero(H_k)) for H_k in report.H_hat],
-    }
-    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
-
-
-def canonical_records() -> dict:
-    """{pilots: {estimator: [[digest, linear NMSE] per trial]}} over the canonical sweep."""
-    out: dict = {}
-    for axis_index, pilots in enumerate((32, 128)):
-        config = dataclasses.replace(SystemConfig(), n_pilots=pilots)
-        cells: dict = {name: [] for name in ESTIMATORS}
-        for trial in range(config.trials):
-            _, _, truth, _, inp = build_trial(config, trial, axis_index=axis_index)
-            for name, estimate in ESTIMATORS.items():
-                report = estimate(inp, truth)
-                cells[name].append([structure_digest(report), nmse_linear(report.H_hat, truth.H)])
-        out[str(pilots)] = cells
-    return out
-
-
 @pytest.fixture(scope="module")
-def current():
-    return canonical_records()
+def current(canonical_trials):
+    """{pilots: {estimator: [(digest, linear NMSE) per trial]}}, keyed like the golden file."""
+    return {str(pilots): cells for pilots, cells in canonical_trials.items()}
 
 
 @pytest.fixture(scope="module")

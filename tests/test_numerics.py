@@ -9,7 +9,6 @@ from risce.numerics import (
     circ_xcorr_2d,
     dft_matrix,
     ls_solve,
-    peak_shift_1d,
     peak_shift_2d,
     signed_shift,
     top_l_indices,
@@ -38,13 +37,18 @@ class TestDftMatrix:
             dft_matrix(0)
 
 
+def column(corr):
+    """A 1-D correlation as the (n, 1) map of a linear array's element grid."""
+    return np.asarray(corr)[:, None]
+
+
 class TestCircXcorr1d:
     def test_single_impulse_shift(self):
         u = np.array([1.0, 0.0, 0.0, 0.0])
         v = np.array([0.0, 1.0, 0.0, 0.0])  # v[n] = u[(n - 1) mod 4]
         corr = circ_xcorr_1d(u, v)
         assert int(np.argmax(corr)) == 1
-        assert peak_shift_1d(corr) == 1
+        assert peak_shift_2d(column(corr)) == (1, 0)
 
     def test_zero_shift(self):
         u = np.array([1.0, 0.0, 0.0, 0.0])
@@ -56,7 +60,7 @@ class TestCircXcorr1d:
         u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         u /= np.linalg.norm(u)
         v = np.roll(u, -16)
-        assert peak_shift_1d(circ_xcorr_1d(u, v)) == -16
+        assert peak_shift_2d(column(circ_xcorr_1d(u, v))) == (-16, 0)
 
     def test_all_shifts_brute_force(self):
         # the peak lag must equal the shift that maps u's support onto v's
@@ -64,7 +68,7 @@ class TestCircXcorr1d:
         u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         for delta in range(64):
             v = np.roll(u, delta)
-            assert peak_shift_1d(circ_xcorr_1d(u, v)) == signed_shift(delta, 64)
+            assert peak_shift_2d(column(circ_xcorr_1d(u, v))) == (signed_shift(delta, 64), 0)
 
     def test_definition_matches_direct_sum(self):
         rng = np.random.default_rng(5)
@@ -137,9 +141,22 @@ class TestCircXcorr2d:
         planar = circ_xcorr_2d(u.reshape(16, 1), v.reshape(16, 1))
         npt.assert_allclose(planar[:, 0], flat, atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(128, 1), (16, 16), (8, 16)])
+    def test_batch_matches_each_pair(self, shape):
+        # offset estimation correlates users x columns map pairs in one call
+        rng = np.random.default_rng(sum(shape))
+        maps = rng.standard_normal((3, 4, *shape)) + 1j * rng.standard_normal((3, 4, *shape))
+        ref = np.broadcast_to(maps[:, :1], maps.shape)
+        batch = circ_xcorr_2d(ref, maps)
+        for k in range(3):
+            for j in range(4):
+                npt.assert_array_equal(batch[k, j], circ_xcorr_2d(maps[k, 0], maps[k, j]))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             circ_xcorr_2d(np.ones((2, 3)), np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            circ_xcorr_2d(np.ones(4), np.ones(4))
 
 
 def direct_xcorr_2d(u, v):

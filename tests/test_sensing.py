@@ -194,6 +194,14 @@ class TestExtractGroundTruth:
         for off in truth.offsets:
             d1, d2 = off
             assert -4 <= d1 < 4 and -8 <= d2 < 8
+            assert type(d1) is int and type(d2) is int
+        # a linear array's offsets stay plain ints
+        linear = dataclasses.replace(cfg, geometry=ArrayGeometry.ula(128))
+        real = generate_channels(linear, np.random.default_rng(2))
+        setup = make_sensing_setup(cfg.n_bs, linear.geometry, 8, np.random.default_rng(2))
+        truth = extract_ground_truth(real, setup)
+        assert truth.offsets[0] == 0
+        assert all(type(d) is int and -64 <= d < 64 for d in truth.offsets)
 
     def test_structural_break_is_detected(self):
         # two reflector-to-BS paths landing on one BS beam merge two columns
@@ -318,13 +326,27 @@ class TestSimulateMeasurements:
         empirical_db = 10.0 * np.log10(signal_power / noise_power)
         assert abs(empirical_db - 0.0) < 0.5
 
-    @pytest.mark.parametrize("snr_db", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+    @pytest.mark.parametrize(
+        "snr_db",
+        [float("nan"), float("-inf"), 4000.0, -4000.0, -3200.0],
+        ids=["nan", "-inf", "4000", "-4000", "-3200"],
+    )
     def test_non_finite_snr_rejected_before_any_noise_draw(self, snr_db):
         _, setup, truth, _, _ = build_trial(SystemConfig())
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="snr_db"):
             simulate_measurements(truth, setup, snr_db, rng)
+        assert rng.bit_generator.state == state
+
+    def test_overflowing_noise_variance_rejected_before_any_noise_draw(self):
+        # -3000 dB is a valid SNR, but against this signal power the variance overflows
+        _, setup, truth, _, _ = build_trial(SystemConfig())
+        loud = dataclasses.replace(truth, H=[1e150 * H_k for H_k in truth.H])
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="not finite"):
+            simulate_measurements(loud, setup, -3000.0, rng)
         assert rng.bit_generator.state == state
 
     def test_noise_variance_scales_with_snr(self):

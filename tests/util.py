@@ -5,6 +5,9 @@ ramps, explicit double sums) so the package code is checked against an
 independent implementation rather than against itself.
 """
 
+import hashlib
+import json
+
 import numpy as np
 
 from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
@@ -100,6 +103,23 @@ def build_trial(config, trial_index: int = 0, axis_index: int = 0):
         geometry=config.geometry,
     )
     return realization, setup, truth, measurements, inp
+
+
+def structure_digest(report) -> str:
+    """SHA-256 of an estimate's integer results, independent of its coefficients."""
+
+    def ints(values):
+        return None if values is None else [int(v) for v in np.asarray(values).ravel()]
+
+    record = {
+        "col_support": ints(report.col_support),
+        "offsets": None if report.offsets is None else [ints(d) for d in report.offsets],
+        "row_patterns": (
+            None if report.row_patterns is None else [ints(p) for p in report.row_patterns]
+        ),
+        "nonzero": [ints(np.flatnonzero(H_k)) for H_k in report.H_hat],
+    }
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
 def per_user_nmse_db(H_hat, H_true) -> list[float]:
