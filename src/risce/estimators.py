@@ -55,13 +55,22 @@ def residual_stop_threshold(noise_variance: float, n_pilots: int) -> float:
 
 @dataclass
 class EstimatorInput:
-    """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets."""
+    """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
+
+    The input also memoises the single-column pursuits run on it: the fit of
+    user k's column c depends only on (Y[k][:, c], sensing_matrix,
+    row_counts[k]), so every estimator given the same input reads one shared
+    fit per (user, column) pair instead of fitting it again.  The fields must
+    not be changed once an estimator has run on the input.
+    """
 
     Y: list[np.ndarray]  # per-user n_pilots x n_bs measurements
     sensing_matrix: np.ndarray  # n_pilots x n_elements
     n_columns: int  # shared occupied-column count
     row_counts: list[int]  # per-user nonzero rows per occupied column
     geometry: ArrayGeometry
+    # (user, column) -> (rows, coef, rank_deficient); filled by _column_pursuits
+    _column_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.Y:
@@ -306,24 +315,34 @@ def offset_structured_somp(
 def _column_pursuits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> tuple[list, bool]:
     """Per-user estimates from independent single-column pursuits of columns col_sets[k].
 
-    Also returns whether any refit was rank deficient.  The problems run
-    user-major in one batch, so every caller lays them out the same way.
+    Also returns whether any of those fits had a rank-deficient refit.  Each
+    (user, column) pair is fitted at most once per input: the pairs not yet in
+    inp's memo run user-major in one batch and are stored there, and the
+    estimates are then assembled from the memo, so estimators that share
+    columns share their fits whatever order they run in.
     """
-    per_user = len(col_sets[0])
-    Y = np.stack([Y_k[:, cols] for Y_k, cols in zip(inp.Y, col_sets)], axis=1)
-    budgets = np.repeat(inp.row_counts, per_user)
-    fits = _pursue(inp.sensing_matrix, Y.reshape(Y.shape[0], -1, 1), budgets)
-    columns = [fit["columns"][0] for fit in fits]
-    per_user_columns = [columns[k : k + per_user] for k in range(0, len(columns), per_user)]
-    return _assemble(inp, col_sets, per_user_columns), any(fit["rank_deficient"] for fit in fits)
+    fits = inp._column_fits
+    keys = [[(k, int(c)) for c in cols] for k, cols in enumerate(col_sets)]
+    todo = [key for user in keys for key in user if key not in fits]
+    if todo:
+        Y = np.stack([inp.Y[k][:, c] for k, c in todo], axis=1)
+        budgets = [inp.row_counts[k] for k, _ in todo]
+        for key, fit in zip(todo, _pursue(inp.sensing_matrix, Y[:, :, None], budgets)):
+            fits[key] = (*fit["columns"][0], fit["rank_deficient"])
+    per_user = [[fits[key] for key in user] for user in keys]
+    rank_flag = any(fit[2] for user in per_user for fit in user)
+    return _assemble(inp, col_sets, per_user), rank_flag
 
 
 def _assemble(inp: EstimatorInput, col_sets, columns) -> list[np.ndarray]:
-    """Dense per-user estimates: user k's fit columns[k][j] fills column col_sets[k][j]."""
+    """Dense per-user estimates from fits of the form (rows, coef, ...).
+
+    User k's fit columns[k][j] fills column col_sets[k][j].
+    """
     H_hat = []
     for cols, fits in zip(col_sets, columns):
         H_k = np.zeros((inp.geometry.n_elements, inp.Y[0].shape[1]), dtype=complex)
-        for c, (rows, coef) in zip(cols, fits):
+        for c, (rows, coef, *_) in zip(cols, fits):
             H_k[rows, c] = coef
         H_hat.append(H_k)
     return H_hat

@@ -57,7 +57,10 @@ def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected equal-shape arrays of 2-D or more, got {u.shape} and {v.shape}")
     if u.size == 0:
         raise ValueError("arrays must be non-empty")
-    return np.abs(np.fft.ifft2(np.conj(np.fft.fft2(u)) * np.fft.fft2(v)))
+    # the transform along a length-1 axis is the identity, so only longer axes are transformed
+    axes = tuple(axis for axis in (-2, -1) if u.shape[axis] > 1)
+    spectrum = np.conj(np.fft.fftn(u, axes=axes)) * np.fft.fftn(v, axes=axes)
+    return np.abs(np.fft.ifftn(spectrum, axes=axes))
 
 
 def ls_solve(a_sub: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -172,9 +172,9 @@ def simulate_measurements(
 
     The noise variance is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
-    snr_db; snr_db of None or +inf disables noise.  Any other value must have
-    a normal-float linear ratio (see config.snr_ratio) and give a finite
-    variance; ValueError otherwise, raised before any noise is drawn.
+    snr_db; snr_db of None or +inf disables noise.  Any other value must pass
+    config.snr_ratio and give a finite variance; ValueError otherwise, raised
+    before any noise is drawn.
     """
     ratio = None if is_noiseless(snr_db) else snr_ratio(snr_db)
     a = setup.sensing_matrix

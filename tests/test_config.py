@@ -39,9 +39,10 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="base_seed"):
             SystemConfig(base_seed=-1)
 
-    # 10**(snr_db/10) must be a normal float: +-4000 overflow and underflow, -3200 is subnormal
+    # 4000 dB overflows 10**(snr_db/10); anything below -1500 dB is out of range
     @pytest.mark.parametrize(
-        "snr_db", [float("nan"), float("-inf"), "0", 1j, 4000.0, -4000.0, -3200.0]
+        "snr_db",
+        [float("nan"), float("-inf"), "0", 1j, 4000.0, -4000.0, -3200.0, -3076.0, -1501.0],
     )
     def test_bad_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
@@ -52,7 +53,7 @@ class TestSystemConfig:
         assert SystemConfig(snr_db=snr_db).noiseless
         assert is_noiseless(snr_db)
 
-    @pytest.mark.parametrize("snr_db", [-30.0, 0, 40.0, -3076.0, 3082.0])
+    @pytest.mark.parametrize("snr_db", [-30.0, 0, 40.0, -1500.0, 3082.0])
     def test_finite_snr_is_noisy(self, snr_db):
         assert not SystemConfig(snr_db=snr_db).noiseless
 

@@ -1,11 +1,14 @@
 """Tests for the structured estimator stages, the baselines, and the oracle."""
 
+import contextlib
 import dataclasses
+import itertools
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import risce.estimators as estimators
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
     EstimatorInput,
@@ -22,7 +25,7 @@ from risce.estimators import (
     offset_structured_somp,
     residual_stop_threshold,
 )
-from risce.harness import nmse_linear
+from risce.harness import nmse_linear, run_trial
 from risce.sensing import make_sensing_setup
 from util import build_trial, check_report, known_shift_scenario, per_user_nmse_db
 
@@ -575,3 +578,109 @@ class TestDegenerateEquivalences:
             for a, b in zip(rep_u.H_hat, rep_p.H_hat):
                 npt.assert_allclose(a, b, atol=1e-12)
             assert [d for d, _ in rep_p.offsets] == list(rep_u.offsets)
+
+
+GREEDY = {
+    "triple_structured": estimate_triple_structured,
+    "row_structured": estimate_row_structured,
+    "conventional_omp": estimate_conventional_omp,
+}
+
+
+def assert_bitwise_equal(a, b):
+    """Same nesting, types and array bytes, recursing into dicts, lists and tuples."""
+    if isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            assert_bitwise_equal(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_bitwise_equal(x, y)
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+    else:
+        assert type(a) is type(b) and a == b
+
+
+def assert_order_independent(cfg, trial_index):
+    """Every order of the greedy estimators on one input matches each run on a fresh input."""
+    fresh = {name: estimate(build_trial(cfg, trial_index)[4]) for name, estimate in GREEDY.items()}
+    for order in itertools.permutations(GREEDY):
+        inp = build_trial(cfg, trial_index)[4]
+        for name in order:
+            report = GREEDY[name](inp)
+            for part in ("H_hat", "col_support", "offsets", "row_patterns", "diagnostics"):
+                assert_bitwise_equal(getattr(report, part), getattr(fresh[name], part))
+
+
+class TestSharedColumnFits:
+    """The greedy estimators fit each (user, column) pair of an input once and share the fit."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(n_pilots=32),
+            SystemConfig(n_pilots=128),
+            SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
+        ],
+        ids=["ula-t32", "ula-t128", "upa-16x16"],
+    )
+    def test_any_order_matches_fresh_inputs(self, cfg):
+        for trial in range(3):
+            assert_order_independent(cfg, trial)
+
+    def test_each_pair_is_pursued_once(self, monkeypatch):
+        cfg = SystemConfig()
+        calls = []  # (problems, columns per problem) of every _pursue batch
+
+        def counting(a, Y, *args):
+            calls.append(Y.shape[1:])
+            return _pursue(a, Y, *args)
+
+        monkeypatch.setattr(estimators, "_pursue", counting)
+        extra_total = 0
+        # per-user pruning keeps 0, 4, 15 and 1 columns outside the joint support
+        for trial in (0, 5, 9, 10):
+            _, _, _, _, inp = build_trial(cfg, trial_index=trial)
+            joint = set(estimate_triple_structured(inp).col_support.tolist())
+            # the coarse pass over the joint support, then the offset-coupled pass
+            assert calls == [(cfg.n_users * cfg.bs_paths, 1), (cfg.n_users, cfg.bs_paths)]
+            calls.clear()
+            estimate_row_structured(inp)
+            assert calls == []
+            supports = estimate_conventional_omp(inp).diagnostics["per_user_col_support"]
+            extra = sum(len(set(cols.tolist()) - joint) for cols in supports)
+            assert calls == ([(extra, 1)] if extra else [])
+            calls.clear()
+            extra_total += extra
+        assert extra_total > 0, "no trial exercised a column outside the joint support"
+
+
+class TestEdgeConfigurations:
+    """Small and degenerate scenarios run end to end to finite NMSE through the shared fits."""
+
+    @pytest.mark.parametrize(
+        "cfg, over_budget",
+        [
+            (SystemConfig(n_users=1), False),
+            (SystemConfig(geometry=ArrayGeometry.upa(1, 16)), False),
+            (SystemConfig(n_bs=8, bs_paths=8, n_pilots=64), False),
+            (SystemConfig(n_pilots=1), True),
+            (SystemConfig(n_pilots=8), True),
+        ],
+        ids=["one-user", "upa-1x16", "bs-paths-equal-n-bs", "one-pilot", "pilots-below-budget"],
+    )
+    def test_finite_and_order_independent(self, cfg, over_budget):
+        budget_warning = (
+            pytest.warns(RuntimeWarning, match="atom budget")
+            if over_budget
+            else contextlib.nullcontext()
+        )
+        with budget_warning:
+            result = run_trial(cfg, 0)
+            assert_order_independent(cfg, 0)
+        assert result.errors == {}
+        assert sorted(result.nmse_lin) == sorted(cfg.estimators)
+        assert all(np.isfinite(value) for value in result.nmse_lin.values())

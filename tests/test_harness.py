@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import risce.harness as harness
-from risce.config import ArrayGeometry, SystemConfig
+from risce.config import MIN_SNR_DB, ArrayGeometry, SystemConfig
 from risce.harness import (
     CSV_HEADER,
     NMSE_FLOOR_DB,
@@ -189,6 +189,18 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "run_trial", no_trials)
         with pytest.raises(ValueError, match="snr_db"):
             run_sweep(small_config(), "snr", [0.0, bad])
+
+    def test_lowest_accepted_snr_gives_finite_cells(self):
+        # 8 pilots gave the largest NMSE per unit noise of the scenarios measured
+        # (the oracle's refits are worst conditioned there); an overflow warning
+        # is not the matched one, so it is re-raised and fails the suite
+        cfg = SystemConfig(n_pilots=8, trials=100)
+        with pytest.warns(RuntimeWarning, match="atom budget"):
+            result = run_sweep(cfg, "snr", [MIN_SNR_DB])
+        for name in cfg.estimators:
+            cell = result.cells[(MIN_SNR_DB, name)]
+            assert cell.n_trials == 100
+            assert np.isfinite(cell.mean_db) and np.isfinite(cell.stderr_db)
 
     def test_bad_axis_and_empty_values(self):
         cfg = small_config()

@@ -141,13 +141,16 @@ class TestCircXcorr2d:
         planar = circ_xcorr_2d(u.reshape(16, 1), v.reshape(16, 1))
         npt.assert_allclose(planar[:, 0], flat, atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(128, 1), (16, 16), (8, 16)])
+    @pytest.mark.parametrize("shape", [(128, 1), (16, 16), (8, 16), (1, 16)])
     def test_batch_matches_each_pair(self, shape):
         # offset estimation correlates users x columns map pairs in one call
         rng = np.random.default_rng(sum(shape))
         maps = rng.standard_normal((3, 4, *shape)) + 1j * rng.standard_normal((3, 4, *shape))
         ref = np.broadcast_to(maps[:, :1], maps.shape)
         batch = circ_xcorr_2d(ref, maps)
+        # skipping a length-1 axis must leave the full 2-D transform's result bit for bit
+        full = np.abs(np.fft.ifft2(np.conj(np.fft.fft2(ref)) * np.fft.fft2(maps)))
+        assert batch.shape == full.shape and batch.tobytes() == full.tobytes()
         for k in range(3):
             for j in range(4):
                 npt.assert_array_equal(batch[k, j], circ_xcorr_2d(maps[k, 0], maps[k, j]))

@@ -340,13 +340,13 @@ class TestSimulateMeasurements:
         assert rng.bit_generator.state == state
 
     def test_overflowing_noise_variance_rejected_before_any_noise_draw(self):
-        # -3000 dB is a valid SNR, but against this signal power the variance overflows
+        # -1500 dB is a valid SNR, but against this signal power the variance overflows
         _, setup, truth, _, _ = build_trial(SystemConfig())
         loud = dataclasses.replace(truth, H=[1e150 * H_k for H_k in truth.H])
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="not finite"):
-            simulate_measurements(loud, setup, -3000.0, rng)
+            simulate_measurements(loud, setup, -1500.0, rng)
         assert rng.bit_generator.state == state
 
     def test_noise_variance_scales_with_snr(self):
