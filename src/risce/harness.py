@@ -45,8 +45,9 @@ def nmse_linear(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
     for est, true in zip(H_hat, H_true):
         if est.shape != true.shape:
             raise ValueError(f"shape mismatch {est.shape} vs {true.shape}")
-        err += float(np.sum(np.abs(est - true) ** 2))
-        energy += float(np.sum(np.abs(true) ** 2))
+        diff = est - true
+        err += float(np.vdot(diff, diff).real)
+        energy += float(np.vdot(true, true).real)
     if energy == 0.0:
         raise ValueError("true channels are identically zero; NMSE is undefined")
     return err / energy
@@ -77,23 +78,38 @@ def trial_rng(base_seed: int, axis_index: int, trial_index: int) -> np.random.Ge
     return np.random.default_rng(seq)
 
 
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> TrialResult:
-    """Draw one scenario and run every configured estimator on identical data."""
+    """Draw one scenario and run every configured estimator on identical data.
+
+    An unknown estimator name raises before anything is drawn.  An exception
+    while drawing the scenario (channels, sensing setup, ground truth,
+    measurements or the estimator input) fails every estimator of the trial,
+    and one raised by an estimator fails that estimator only; either way the
+    message goes to TrialResult.errors and the trial returns normally.
+    """
     for name in config.estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; known: {sorted(ESTIMATORS)}")
     rng = trial_rng(config.base_seed, axis_index, trial_index)
-    realization = generate_channels(config, rng)
-    setup = make_sensing_setup(config.n_bs, config.geometry, config.n_pilots, rng)
-    truth = extract_ground_truth(realization, setup)
-    measurements = simulate_measurements(truth, setup, config.snr_db, rng)
-    inp = EstimatorInput(
-        Y=measurements.Y,
-        sensing_matrix=setup.sensing_matrix,
-        n_columns=config.bs_paths,
-        row_counts=[len(paths) for paths in realization.h_paths],
-        geometry=config.geometry,
-    )
+    try:
+        realization = generate_channels(config, rng)
+        setup = make_sensing_setup(config.n_bs, config.geometry, config.n_pilots, rng)
+        truth = extract_ground_truth(realization, setup)
+        measurements = simulate_measurements(truth, setup, config.snr_db, rng)
+        inp = EstimatorInput(
+            Y=measurements.Y,
+            sensing_matrix=setup.sensing_matrix,
+            n_columns=config.bs_paths,
+            row_counts=[len(paths) for paths in realization.h_paths],
+            geometry=config.geometry,
+        )
+    except Exception as exc:  # a failed draw fails every estimator of this trial
+        reason = _failure(exc)
+        return TrialResult(nmse_lin={}, errors={name: reason for name in config.estimators})
     ratios: dict[str, float] = {}
     errors: dict[str, str] = {}
     for name in config.estimators:
@@ -101,7 +117,7 @@ def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> Tr
             report = ESTIMATORS[name](inp, truth)
             ratios[name] = nmse_linear(report.H_hat, truth.H)
         except Exception as exc:  # keep the trial alive; the cell records the failure
-            errors[name] = f"{type(exc).__name__}: {exc}"
+            errors[name] = _failure(exc)
     return TrialResult(nmse_lin=ratios, errors=errors)
 
 

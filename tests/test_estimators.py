@@ -26,6 +26,7 @@ from risce.estimators import (
     residual_stop_threshold,
 )
 from risce.harness import nmse_linear, run_trial
+from risce.numerics import ls_solve
 from risce.sensing import make_sensing_setup
 from util import build_trial, check_report, known_shift_scenario, per_user_nmse_db
 
@@ -449,6 +450,105 @@ class TestPursuitKernel:
             npt.assert_array_equal(coef[i], np.linalg.lstsq(wide[i], ys[i, :2], rcond=None)[0])
 
 
+def conditioned_systems(rng, t, k, conds, spread):
+    """Stack of T x k systems with the given condition numbers, and a right-hand side each.
+
+    Singular values run geometrically from 1 down to 1/cond.  With spread the
+    right singular vectors are random, so the small singular value is shared
+    by every column; without it the columns are orthogonal and the smallest
+    Cholesky pivot of SᴴS is exactly 1/cond of the largest.
+    """
+    subs = []
+    for cond in conds:
+        u = np.linalg.qr(rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k)))[0]
+        v = np.eye(k)
+        if spread:
+            v = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        subs.append((u * np.geomspace(1.0, 1.0 / cond, k)) @ v.conj().T)
+    ys = rng.standard_normal((len(conds), t)) + 1j * rng.standard_normal((len(conds), t))
+    return np.stack(subs), ys
+
+
+def pivot_ratio(sub):
+    pivots = np.abs(np.diagonal(np.linalg.cholesky(sub.conj().T @ sub)))
+    return pivots.min() / pivots.max()
+
+
+class TestGramRefit:
+    """_batched_lstsq solves the normal equations and hands low-pivot systems to ls_solve."""
+
+    @staticmethod
+    def record_ls_solve(monkeypatch):
+        solved = []  # right-hand sides of the systems ls_solve received
+
+        def recording(a_sub, y):
+            solved.append(y.tobytes())
+            return ls_solve(a_sub, y)
+
+        monkeypatch.setattr(estimators, "ls_solve", recording)
+        return solved
+
+    @pytest.mark.parametrize("t, k", [(32, 8), (128, 8), (8, 4), (16, 2)])
+    def test_pivot_cut_splits_gram_path_from_ls_solve(self, t, k, monkeypatch):
+        # condition numbers from a third to three times 1/cut straddle the cut
+        cut = estimators._PIVOT_RATIO_CUT
+        rng = np.random.default_rng(20 + t + k)
+        conds = np.geomspace(1.0 / (3 * cut), 3.0 / cut, 12)
+        parts = [conditioned_systems(rng, t, k, conds, spread) for spread in (False, True)]
+        subs, ys = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+        solved = self.record_ls_solve(monkeypatch)
+        coef, deficient = _batched_lstsq(subs, ys)
+        on_gram = np.array([pivot_ratio(sub) > cut for sub in subs])
+        assert 0 < on_gram.sum() < len(subs)
+        assert solved == [y.tobytes() for y in ys[~on_gram]]
+        assert not deficient.any()
+        for i in np.flatnonzero(on_gram):
+            expected = np.linalg.lstsq(subs[i], ys[i], rcond=None)[0]
+            assert np.linalg.norm(coef[i] - expected) <= 1e-10 * np.linalg.norm(expected)
+        for i in np.flatnonzero(~on_gram):
+            npt.assert_array_equal(coef[i], ls_solve(subs[i], ys[i])[0])
+
+    def test_result_does_not_depend_on_the_batch(self):
+        rng = np.random.default_rng(21)
+        a = unit_column_dictionary(rng, 32, 128)
+        rows = np.sort(np.stack([rng.choice(128, 8, replace=False) for _ in range(64)]), axis=1)
+        subs = np.swapaxes(np.ascontiguousarray(a.T)[rows], -1, -2)
+        ys = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
+        probe = 17
+        alone = _batched_lstsq(subs[probe : probe + 1], ys[probe : probe + 1])
+        in_batch = _batched_lstsq(subs, ys)
+        # a zero atom makes the neighbour's Gram singular, so the stacked Cholesky
+        # raises and every system is factored on its own
+        singular = subs[probe - 1 : probe + 1].copy()
+        singular[0, :, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(singular[0].conj().T @ singular[0])
+        beside = _batched_lstsq(singular, ys[probe - 1 : probe + 1])
+        assert beside[1].tolist() == [True, False]
+        npt.assert_array_equal(
+            beside[0][0], np.linalg.lstsq(singular[0], ys[probe - 1], rcond=None)[0]
+        )
+        for coef, deficient, at in [(*alone, 0), (*in_batch, probe), (*beside, 1)]:
+            assert coef[at].tobytes() == alone[0][0].tobytes()
+            assert not deficient[at]
+
+    def test_greedy_fit_on_the_true_support_is_the_oracle_fit(self):
+        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        for trial in range(3):
+            _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
+            oracle = estimate_oracle_ls(inp, truth)
+            support = [H_k != 0 for H_k in oracle.H_hat]
+            matched = 0
+            for name, estimate in GREEDY.items():
+                report = estimate(inp)
+                if all(np.array_equal(H_k != 0, s) for H_k, s in zip(report.H_hat, support)):
+                    matched += 1
+                    assert_bitwise_equal(report.H_hat, oracle.H_hat)
+                else:
+                    assert name != "triple_structured"
+            assert matched >= 1
+
+
 class TestTripleStructured:
     def test_noiseless_exact_recovery(self):
         cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
@@ -624,8 +724,9 @@ class TestSharedColumnFits:
             SystemConfig(n_pilots=32),
             SystemConfig(n_pilots=128),
             SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
+            SystemConfig(bs_paths=1),
         ],
-        ids=["ula-t32", "ula-t128", "upa-16x16"],
+        ids=["ula-t32", "ula-t128", "upa-16x16", "ula-one-column"],
     )
     def test_any_order_matches_fresh_inputs(self, cfg):
         for trial in range(3):
@@ -656,6 +757,45 @@ class TestSharedColumnFits:
             calls.clear()
             extra_total += extra
         assert extra_total > 0, "no trial exercised a column outside the joint support"
+
+    def test_one_column_joint_pass_reads_the_memo(self, monkeypatch):
+        cfg = SystemConfig(bs_paths=1)
+        for trial in range(3):
+            _, _, _, _, inp = build_trial(cfg, trial_index=trial)
+            col = joint_column_support(inp.Y, 1)[0]
+            rolls = np.arange(inp.geometry.n_elements)[None, :]
+            Y = np.stack([Y_k[:, [col]] for Y_k in inp.Y], axis=1)
+            joint = _pursue(inp.sensing_matrix, Y, inp.row_counts, rolls)
+            calls = []
+
+            def counting(a, Y, *args):
+                calls.append(Y.shape[1:])
+                return _pursue(a, Y, *args)
+
+            monkeypatch.setattr(estimators, "_pursue", counting)
+            triple = estimate_triple_structured(inp)
+            # the report's arrays are copies: changing them leaves the memo intact
+            histories = triple.diagnostics["residual_history"]
+            for pattern, history in zip(triple.row_patterns, histories):
+                pattern[:] = -1
+                history[:] = np.nan
+            row = estimate_row_structured(inp)
+            again = estimate_triple_structured(inp)
+            monkeypatch.undo()
+            assert calls == [(cfg.n_users, 1)]
+            fresh = estimate_triple_structured(build_trial(cfg, trial_index=trial)[4])
+            assert_bitwise_equal(row.H_hat, fresh.H_hat)
+            for part in ("H_hat", "row_patterns", "diagnostics"):
+                assert_bitwise_equal(getattr(again, part), getattr(fresh, part))
+            assert_bitwise_equal(fresh.row_patterns, [fit["anchors"] for fit in joint])
+            assert_bitwise_equal(
+                fresh.diagnostics["residual_history"], [fit["residual_history"] for fit in joint]
+            )
+            for flag in ("rank_deficient", "group_collision"):
+                assert fresh.diagnostics[flag] == any(fit[flag] for fit in joint)
+            for k, fit in enumerate(joint):
+                rows, coef = fit["columns"][0]
+                assert fresh.H_hat[k][rows, col].tobytes() == coef.tobytes()
 
 
 class TestEdgeConfigurations:

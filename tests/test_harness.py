@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import risce.harness as harness
+from risce.channel import generate_channels
 from risce.config import MIN_SNR_DB, ArrayGeometry, SystemConfig
 from risce.harness import (
     CSV_HEADER,
@@ -39,6 +40,24 @@ def small_config(**overrides):
 
 def _boom(inp, truth):
     raise RuntimeError("kaboom")
+
+
+def fail_draw_on_trial(monkeypatch, trials, failing_trial):
+    """Make harness.generate_channels raise on one trial index of every axis point.
+
+    run_sweep runs trials 0..trials-1 in order at each point, so the call count
+    gives the trial index.
+    """
+    calls = []
+
+    def draw(config, rng):
+        calls.append(None)
+        if (len(calls) - 1) % trials == failing_trial:
+            raise RuntimeError("bad draw")
+        return generate_channels(config, rng)
+
+    monkeypatch.setattr(harness, "generate_channels", draw)
+    return calls
 
 
 class TestNmse:
@@ -126,6 +145,20 @@ class TestRunTrial:
         assert result.errors == {"boom": "RuntimeError: kaboom"}
         assert "oracle_ls" in result.nmse_lin
 
+    @pytest.mark.parametrize(
+        "stage",
+        ["generate_channels", "extract_ground_truth", "simulate_measurements"],
+    )
+    def test_failed_draw_fails_every_estimator(self, stage, monkeypatch):
+        def broken(*args):
+            raise RuntimeError(f"{stage} broke")
+
+        monkeypatch.setattr(harness, stage, broken)
+        cfg = small_config()
+        result = run_trial(cfg, trial_index=0)
+        assert result.nmse_lin == {}
+        assert result.errors == {name: f"RuntimeError: {stage} broke" for name in cfg.estimators}
+
     def test_oracle_dominates_every_draw(self):
         cfg = SystemConfig(trials=1)
         for trial in range(20):
@@ -201,6 +234,26 @@ class TestRunSweep:
             cell = result.cells[(MIN_SNR_DB, name)]
             assert cell.n_trials == 100
             assert np.isfinite(cell.mean_db) and np.isfinite(cell.stderr_db)
+
+    def test_failed_draw_is_one_failure_per_cell(self, monkeypatch):
+        cfg = small_config(trials=4)
+        intact = run_sweep(cfg, "pilot_length", [16, 24])
+        calls = fail_draw_on_trial(monkeypatch, cfg.trials, failing_trial=2)
+        result = run_sweep(cfg, "pilot_length", [16, 24])
+        assert len(calls) == 2 * cfg.trials
+        for value in result.values:
+            for name in cfg.estimators:
+                cell = result.cells[(value, name)]
+                assert (cell.n_trials, cell.n_failed) == (cfg.trials - 1, 1)
+                assert intact.cells[(value, name)].n_failed == 0
+
+    def test_config_errors_still_raise_before_any_draw(self, monkeypatch):
+        calls = fail_draw_on_trial(monkeypatch, 1, failing_trial=0)
+        with pytest.raises(ValueError, match="nope"):
+            run_sweep(small_config(estimators=("oracle_ls", "nope")), "pilot_length", [16])
+        with pytest.raises(ValueError, match="snr_db"):
+            run_sweep(small_config(), "snr", [0.0, 4000.0])
+        assert calls == []
 
     def test_bad_axis_and_empty_values(self):
         cfg = small_config()
