@@ -14,12 +14,13 @@ import copy
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .config import ArrayGeometry
 from .numerics import circ_xcorr_2d, ls_solve, peak_shift_2d, top_l_indices
-from .sensing import GroundTruth, Offset, roll_map
+from .sensing import ColumnBlock, GroundTruth, Offset, roll_map
 
 # the benchmark tracer wraps this name on this module, so it stays imported here
 from .numerics import circ_xcorr_1d  # noqa: F401
@@ -107,15 +108,21 @@ class EstimatorInput:
 class EstimateReport:
     """Estimator output: per-user channel estimates plus recovered structure.
 
-    offsets and row_patterns are None for estimators that do not model the
-    cross-column coupling.
+    Each user's estimate is a column block over the columns that user's
+    estimate occupies.  offsets and row_patterns are None for estimators that
+    do not model the cross-column coupling.
     """
 
-    H_hat: list[np.ndarray]
+    blocks: list[ColumnBlock]
     col_support: np.ndarray
     offsets: list[Offset] | None
     row_patterns: list[np.ndarray] | None
     diagnostics: dict = field(default_factory=dict)
+
+    @cached_property
+    def H_hat(self) -> list[np.ndarray]:
+        """Dense per-user n_elements x n_bs estimates: read-only, built on first access."""
+        return [block.dense() for block in self.blocks]
 
 
 class OffsetUndetermined(RuntimeError):
@@ -267,13 +274,16 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=No
         history[live, k] = np.linalg.norm(resid[live], axis=-1)
         count[live] = k + 1
         deficient[live] |= flags.reshape(-1, n_cols).any(axis=1)
+    # two equal neighbours among a problem's first count[b] sorted rows of some column
+    valid = np.arange(max(kmax - 1, 0)) < (count - 1)[:, None]
+    collision = np.any((np.diff(rows, axis=2) == 0) & valid[:, None, :], axis=(1, 2))
     return [
         {
             "anchors": anchors[b, :m].copy(),
             "columns": [(rows[b, c, :m].copy(), coef[b, c, :m].copy()) for c in range(n_cols)],
             "residual_history": history[b, :m].copy(),
             "rank_deficient": bool(deficient[b]),
-            "group_collision": bool(np.any(np.diff(rows[b, :, :m], axis=1) == 0)),
+            "group_collision": bool(collision[b]),
         }
         for b, m in enumerate(count)
     ]
@@ -385,18 +395,20 @@ def _column_pursuits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> tuple[l
     return _assemble(inp, col_sets, columns), rank_flag
 
 
-def _assemble(inp: EstimatorInput, col_sets, columns) -> list[np.ndarray]:
-    """Dense per-user estimates from (rows, coef) fits.
+def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
+    """Per-user column blocks from (rows, coef) fits.
 
-    User k's fit columns[k][j] fills column col_sets[k][j].
+    User k's block covers the ascending columns col_sets[k], and its fit
+    columns[k][j] fills block column j.
     """
-    H_hat = []
+    n_bs = inp.Y[0].shape[1]
+    blocks = []
     for cols, fits in zip(col_sets, columns):
-        H_k = np.zeros((inp.geometry.n_elements, inp.Y[0].shape[1]), dtype=complex)
-        for c, (rows, coef) in zip(cols, fits):
-            H_k[rows, c] = coef
-        H_hat.append(H_k)
-    return H_hat
+        values = np.zeros((inp.geometry.n_elements, len(cols)), dtype=complex)
+        for j, (rows, coef) in enumerate(fits):
+            values[rows, j] = coef
+        blocks.append(ColumnBlock(cols, values, n_bs))
+    return blocks
 
 
 def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
@@ -421,7 +433,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     else:
         coarse, _ = _column_pursuits(inp, col_sets)
         try:
-            offsets = estimate_common_offsets([H_k[:, cols] for H_k in coarse], inp.geometry)
+            offsets = estimate_common_offsets([block.values for block in coarse], inp.geometry)
         except OffsetUndetermined as err:
             offsets = err.offsets
             diagnostics["offset_fallback"] = list(err.failed)
@@ -432,7 +444,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
     diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
     return EstimateReport(
-        H_hat=_assemble(inp, col_sets, [fit["columns"] for fit in fits]),
+        blocks=_assemble(inp, col_sets, [fit["columns"] for fit in fits]),
         col_support=cols,
         offsets=offsets,
         row_patterns=[fit["anchors"] for fit in fits],
@@ -448,9 +460,9 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     OMP, with no offset coupling between columns.
     """
     cols = joint_column_support(inp.Y, inp.n_columns)
-    H_hat, rank_flag = _column_pursuits(inp, [cols] * len(inp.Y))
+    blocks, rank_flag = _column_pursuits(inp, [cols] * len(inp.Y))
     return EstimateReport(
-        H_hat=H_hat,
+        blocks=blocks,
         col_support=cols,
         offsets=None,
         row_patterns=None,
@@ -466,9 +478,9 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     atom budget per user is n_columns * row_count.
     """
     supports = [top_l_indices(np.sum(np.abs(Y_k) ** 2, axis=0), inp.n_columns) for Y_k in inp.Y]
-    H_hat, rank_flag = _column_pursuits(inp, supports)
+    blocks, rank_flag = _column_pursuits(inp, supports)
     return EstimateReport(
-        H_hat=H_hat,
+        blocks=blocks,
         col_support=np.unique(np.concatenate(supports)),
         offsets=None,
         row_patterns=None,
@@ -482,27 +494,29 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     The refits go through _batched_lstsq on sorted rows, as the greedy pursuits' do.
     """
     a = inp.sensing_matrix
-    n_bs = inp.Y[0].shape[1]
+    cols = np.array(truth.col_support, dtype=int, copy=True)
     rolls = [roll_map(offset, inp.geometry) for offset in truth.offsets]
+    # (user, block column, rows): block column j is BS beam cols[j]
     systems = [
-        (k, c, np.sort(roll[pattern]))
+        (k, j, np.sort(roll[pattern]))
         for k, pattern in enumerate(truth.row_patterns)
-        for c, roll in zip(truth.col_support, rolls)
+        for j, roll in enumerate(rolls)
     ]
-    H_hat = [np.zeros((inp.geometry.n_elements, n_bs), dtype=complex) for _ in inp.Y]
+    values = [np.zeros((inp.geometry.n_elements, cols.size), dtype=complex) for _ in inp.Y]
     rank_flag = False
     for size in sorted({rows.size for _, _, rows in systems}):
         group = [system for system in systems if system[2].size == size]
         coef, deficient = _batched_lstsq(
             np.stack([a[:, rows] for _, _, rows in group]),
-            np.stack([inp.Y[k][:, c] for k, c, _ in group]),
+            np.stack([inp.Y[k][:, cols[j]] for k, j, _ in group]),
         )
         rank_flag = rank_flag or bool(deficient.any())
-        for (k, c, rows), x in zip(group, coef):
-            H_hat[k][rows, c] = x
+        for (k, j, rows), x in zip(group, coef):
+            values[k][rows, j] = x
+    n_bs = inp.Y[0].shape[1]
     return EstimateReport(
-        H_hat=H_hat,
-        col_support=np.array(truth.col_support, dtype=int, copy=True),
+        blocks=[ColumnBlock(cols, block, n_bs) for block in values],
+        col_support=cols,
         offsets=list(truth.offsets),
         row_patterns=[np.array(p, dtype=int, copy=True) for p in truth.row_patterns],
         diagnostics={"rank_deficient": rank_flag},

@@ -8,7 +8,8 @@ mean propagated to dB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,12 @@ from .estimators import (
     estimate_row_structured,
     estimate_triple_structured,
 )
-from .sensing import extract_ground_truth, make_sensing_setup, simulate_measurements
+from .sensing import (
+    ColumnBlock,
+    extract_ground_truth,
+    make_sensing_setup,
+    simulate_measurements,
+)
 
 NMSE_FLOOR_DB = -300.0
 
@@ -51,6 +57,26 @@ def nmse_linear(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
     if energy == 0.0:
         raise ValueError("true channels are identically zero; NMSE is undefined")
     return err / energy
+
+
+def _aligned(
+    estimate: list[ColumnBlock], truth: list[ColumnBlock]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-user estimate and truth over the union of their columns, for nmse_linear.
+
+    The columns outside the union are zero in both, so the NMSE is that of the
+    dense channels.  Where the column sets agree the blocks are used as they are.
+    """
+    H_hat, H_true = [], []
+    for est, true in zip(estimate, truth, strict=True):
+        if np.array_equal(est.cols, true.cols):
+            H_hat.append(est.values)
+            H_true.append(true.values)
+        else:
+            cols = np.union1d(est.cols, true.cols)
+            H_hat.append(est.over(cols))
+            H_true.append(true.over(cols))
+    return H_hat, H_true
 
 
 def _to_db(mean_linear: float) -> float:
@@ -115,7 +141,7 @@ def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> Tr
     for name in config.estimators:
         try:
             report = ESTIMATORS[name](inp, truth)
-            ratios[name] = nmse_linear(report.H_hat, truth.H)
+            ratios[name] = nmse_linear(*_aligned(report.blocks, truth.blocks))
         except Exception as exc:  # keep the trial alive; the cell records the failure
             errors[name] = _failure(exc)
     return TrialResult(nmse_lin=ratios, errors=errors)
@@ -129,6 +155,7 @@ class CellStats:
     stderr_db: float | None
     n_trials: int
     n_failed: int
+    failure_reasons: dict[str, int] = field(default_factory=dict)  # message -> failed trials
 
 
 @dataclass
@@ -160,7 +187,8 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     Axis values are sorted ascending and deduplicated; each (axis point,
     trial) pair gets its own seed stream, so results do not depend on the
     order values are given in.  Every point's configuration is built, and so
-    checked, before the first trial runs.
+    checked, before the first trial runs.  A cell counts its failed trials by
+    message in CellStats.failure_reasons.
     """
     if axis == "pilot_length":
         sorted_values = sorted({int(v) for v in values})
@@ -175,16 +203,17 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     cells: dict = {}
     for axis_index, (value, point_config) in enumerate(zip(sorted_values, point_configs)):
         ratios: dict[str, list[float]] = {name: [] for name in config.estimators}
-        failures: dict[str, int] = {name: 0 for name in config.estimators}
+        failures: dict[str, Counter] = {name: Counter() for name in config.estimators}
         for trial_index in range(config.trials):
             result = run_trial(point_config, trial_index, axis_index=axis_index)
             for name in config.estimators:
                 if name in result.nmse_lin:
                     ratios[name].append(result.nmse_lin[name])
                 else:
-                    failures[name] += 1
+                    failures[name][result.errors[name]] += 1
         for name in config.estimators:
-            cells[(value, name)] = _aggregate(ratios[name], failures[name])
+            cell = _aggregate(ratios[name], failures[name].total())
+            cells[(value, name)] = replace(cell, failure_reasons=dict(failures[name]))
     return SweepResult(axis=axis, values=sorted_values, estimators=config.estimators, cells=cells)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,14 +45,43 @@ class SensingSetup:
     geometry: ArrayGeometry
 
 
+@dataclass(frozen=True)
+class ColumnBlock:
+    """One user's n_elements x n_bs beamspace channel, stored as its occupied columns.
+
+    Column j of values is BS beam cols[j]; every other column is zero.
+    """
+
+    cols: np.ndarray  # occupied BS beams, ascending
+    values: np.ndarray  # n_elements x len(cols)
+    n_bs: int
+
+    def over(self, cols: np.ndarray) -> np.ndarray:
+        """A new array of the channel's columns cols: ascending, and a superset of self.cols."""
+        out = np.zeros((self.values.shape[0], len(cols)), dtype=complex)
+        out[:, np.searchsorted(cols, self.cols)] = self.values
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The full n_elements x n_bs channel, zero outside cols, as a read-only array."""
+        out = self.over(np.arange(self.n_bs))
+        out.flags.writeable = False  # a cached view is shared by every reader
+        return out
+
+
 @dataclass
 class GroundTruth:
     """Beamspace channels plus the sparsity metadata estimators are judged against."""
 
-    H: list[np.ndarray]  # per-user n_elements x n_bs beamspace cascaded channels
+    blocks: list[ColumnBlock]  # per-user beamspace cascaded channels over col_support
     col_support: np.ndarray  # shared nonzero column indices, ascending
     row_patterns: list[np.ndarray]  # per-user row support of the first nonzero column
     offsets: list[Offset]  # per-column circular shift relative to the first column
+
+    @cached_property
+    def H(self) -> list[np.ndarray]:
+        """Dense per-user n_elements x n_bs channels: read-only, built on first access."""
+        return [block.dense() for block in self.blocks]
 
 
 @dataclass
@@ -140,8 +170,10 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
         for ris in g_ris
     ]
 
-    H: list[np.ndarray] = []
+    blocks: list[ColumnBlock] = []
     row_patterns: list[np.ndarray] = []
+    # rows[p, q] lands in column p of the block, which is BS beam col_support[p]
+    block_cols = np.arange(col_support.size)[:, None]
     for k, user_paths in enumerate(realization.h_paths):
         pairs = [geometry.to_pair(path.ris_index) for path in user_paths]
         u_ris = np.array(pairs, dtype=int).reshape(-1, 2)
@@ -154,12 +186,14 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
         values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
         if not np.all(values):
             raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
-        H_k = np.zeros((geometry.n_elements, realization.n_bs), dtype=complex)
-        H_k[rows, col_support[:, None]] = values
-        H.append(H_k)
+        block = np.zeros((geometry.n_elements, col_support.size), dtype=complex)
+        block[rows, block_cols] = values
+        blocks.append(ColumnBlock(col_support, block, realization.n_bs))
         row_patterns.append(np.sort(rows[0]))
 
-    return GroundTruth(H=H, col_support=col_support, row_patterns=row_patterns, offsets=offsets)
+    return GroundTruth(
+        blocks=blocks, col_support=col_support, row_patterns=row_patterns, offsets=offsets
+    )
 
 
 def simulate_measurements(
@@ -170,27 +204,33 @@ def simulate_measurements(
 ) -> MeasurementSet:
     """Generate Y_k = A @ H_k + W_k for every user.
 
-    The noise variance is calibrated against the realized signal so that
+    The signal is synthesised over each user's occupied columns only (A times
+    the block); the other columns of Y_k are noise alone.  The noise variance
+    is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
     snr_db; snr_db of None or +inf disables noise.  Any other value must pass
     config.snr_ratio and give a finite variance; ValueError otherwise, raised
-    before any noise is drawn.
+    before any noise is drawn.  Every user's noise is one n_pilots x n_bs draw,
+    in user order, whatever its occupied columns.
     """
-    ratio = None if is_noiseless(snr_db) else snr_ratio(snr_db)
+    noiseless = is_noiseless(snr_db)
+    ratio = None if noiseless else snr_ratio(snr_db)
     a = setup.sensing_matrix
-    signal = [a @ H_k for H_k in truth.H]
-    n_pilots, n_bs = signal[0].shape
-    if ratio is None:
-        return MeasurementSet(Y=[s.copy() for s in signal], noise_variance=0.0)
-    mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
-    variance = mean_power / (n_pilots * n_bs * ratio)
-    if not math.isfinite(variance):
-        raise ValueError(f"noise variance {variance!r} at snr_db={snr_db!r} is not finite")
+    signal = [a @ block.values for block in truth.blocks]
+    shape = (a.shape[0], truth.blocks[0].n_bs)
+    variance = 0.0
+    if not noiseless:
+        mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
+        variance = mean_power / (shape[0] * shape[1] * ratio)
+        if not math.isfinite(variance):
+            raise ValueError(f"noise variance {variance!r} at snr_db={snr_db!r} is not finite")
     scale = np.sqrt(variance / 2.0)
     Y = []
-    for s in signal:
-        noise = scale * (
-            rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-        )
-        Y.append(s + noise)
+    for block, s in zip(truth.blocks, signal):
+        if noiseless:
+            Y_k = np.zeros(shape, dtype=complex)
+        else:
+            Y_k = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        Y_k[:, block.cols] += s
+        Y.append(Y_k)
     return MeasurementSet(Y=Y, noise_variance=variance)

@@ -1,0 +1,86 @@
+"""The beamspace channels of a trial are column blocks: the occupied BS-beam columns only.
+
+A trial builds, measures and scores every channel over its own columns; the
+dense n_elements x n_bs views (GroundTruth.H, EstimateReport.H_hat) are built
+on first read, and the trial never reads them.  These checks hold the block
+path to the dense definitions.
+"""
+
+import dataclasses
+
+import numpy as np
+import numpy.testing as npt
+import pytest
+
+from risce.config import ArrayGeometry, SystemConfig
+from risce.estimators import EstimateReport
+from risce.harness import ESTIMATORS, nmse_linear, run_trial
+from risce.sensing import GroundTruth
+from util import build_trial
+
+CANONICAL = SystemConfig()  # 128-element linear reflector, 32 pilots
+PLANAR = SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64)
+ONE_COLUMN = SystemConfig(bs_paths=1)
+CONFIGS = {"canonical": CANONICAL, "upa-16x16": PLANAR, "one-column": ONE_COLUMN}
+# trial 5 of the canonical and planar draws has users whose own top-power
+# columns (conventional_omp) differ from the shared support
+TRIALS = (0, 5)
+
+
+def assert_views_match_blocks(blocks, views) -> None:
+    for block, dense in zip(blocks, views, strict=True):
+        assert dense.shape == (block.values.shape[0], block.n_bs)
+        assert not dense.flags.writeable
+        outside = np.setdiff1d(np.arange(block.n_bs), block.cols)
+        assert not dense[:, outside].any()
+        assert dense[:, block.cols].tobytes() == block.values.tobytes()
+
+
+@pytest.mark.parametrize("config", [CANONICAL, PLANAR], ids=["ula-128", "upa-16x16"])
+def test_trial_reads_no_dense_view(config, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dense view was built on the trial path")
+
+    monkeypatch.setattr(GroundTruth, "H", property(refuse))
+    monkeypatch.setattr(EstimateReport, "H_hat", property(refuse))
+    result = run_trial(config, trial_index=0)
+    assert result.errors == {}
+    assert set(result.nmse_lin) == set(config.estimators)
+
+
+def test_trial_nmse_equals_dense_nmse():
+    differing_users = 0
+    for config in CONFIGS.values():
+        for trial in TRIALS:
+            result = run_trial(config, trial_index=trial)
+            _, _, truth, _, inp = build_trial(config, trial)
+            for name in config.estimators:
+                report = ESTIMATORS[name](inp, truth)
+                dense = nmse_linear(report.H_hat, truth.H)
+                npt.assert_allclose(result.nmse_lin[name], dense, rtol=1e-12, atol=0)
+                if name == "conventional_omp":
+                    differing_users += sum(
+                        not np.array_equal(block.cols, truth.col_support)
+                        for block in report.blocks
+                    )
+    assert differing_users > 0
+
+
+@pytest.mark.parametrize("case", list(CONFIGS))
+def test_dense_views_are_the_blocks_zero_filled(case):
+    config = CONFIGS[case]
+    _, _, truth, _, inp = build_trial(config, trial_index=5)
+    assert_views_match_blocks(truth.blocks, truth.H)
+    for name in config.estimators:
+        report = ESTIMATORS[name](inp, truth)
+        assert_views_match_blocks(report.blocks, report.H_hat)
+
+
+@pytest.mark.parametrize("case", ["one-column", "upa-16x16"])
+def test_noiseless_measurements_match_the_dense_product(case):
+    # the block product need not be bitwise the full one: with one column
+    # numpy multiplies by a matrix-vector kernel instead
+    config = dataclasses.replace(CONFIGS[case], snr_db=None)
+    _, setup, truth, meas, _ = build_trial(config)
+    for Y_k, H_k in zip(meas.Y, truth.H, strict=True):
+        npt.assert_allclose(Y_k, setup.sensing_matrix @ H_k, rtol=0, atol=1e-13)

@@ -431,6 +431,22 @@ class TestPursuitKernel:
             single = coarse_omp(Y[:, b, 0], a, t, stop_threshold=threshold)
             assert self.support(fit) == np.flatnonzero(single).tolist()
 
+    def test_group_collision_matches_each_problems_own_rows(self):
+        # column 1's roll sends anchors 2 and 5 to one row; in one batch the
+        # problems stop after 8, 3, 1 and 0 anchors, and the one-anchor problem
+        # ends on row 0, the value of the unused tail of its row array
+        rng = np.random.default_rng(11)
+        a = unit_column_dictionary(rng, 16, 8)
+        rolls = np.array([np.arange(8), [1, 2, 3, 4, 5, 3, 6, 7]])
+        Y = rng.standard_normal((16, 4, 2)) + 1j * rng.standard_normal((16, 4, 2))
+        Y[:, 2, 0], Y[:, 2, 1] = a[:, 0], a[:, 1]
+        fits = _pursue(a, Y, [8, 3, 1, 0], rolls)
+        assert self.support(fits[2]) == [0]
+        for fit in fits:
+            expected = any(np.any(np.diff(rows) == 0) for rows, _ in fit["columns"])
+            assert fit["group_collision"] == expected
+        assert [fit["group_collision"] for fit in fits] == [True, False, False, False]
+
     def test_batched_lstsq_matches_lstsq_and_flags_singular_systems(self):
         rng = np.random.default_rng(10)
         subs = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))

@@ -247,6 +247,18 @@ class TestRunSweep:
                 assert (cell.n_trials, cell.n_failed) == (cfg.trials - 1, 1)
                 assert intact.cells[(value, name)].n_failed == 0
 
+    def test_failure_messages_are_counted_per_cell(self, monkeypatch):
+        cfg = small_config(trials=4)
+        intact = run_sweep(cfg, "pilot_length", [16])
+        assert all(cell.failure_reasons == {} for cell in intact.cells.values())
+        fail_draw_on_trial(monkeypatch, cfg.trials, failing_trial=2)
+        result = run_sweep(cfg, "pilot_length", [16, 24])
+        for value in result.values:
+            for name in cfg.estimators:
+                cell = result.cells[(value, name)]
+                assert cell.failure_reasons == {"RuntimeError: bad draw": 1}
+                assert cell.n_failed == 1
+
     def test_config_errors_still_raise_before_any_draw(self, monkeypatch):
         calls = fail_draw_on_trial(monkeypatch, 1, failing_trial=0)
         with pytest.raises(ValueError, match="nope"):

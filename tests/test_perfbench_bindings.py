@@ -7,6 +7,7 @@ main suite, rather than only when the benchmark runs.
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -44,3 +45,20 @@ def test_benchmark_bindings_resolve(source):
         if not hasattr(importlib.import_module(f"risce.{module}"), attr)
     ]
     assert not missing, f"perfbench/{source} names missing from the program: {missing}"
+
+
+def test_kernel_inputs_resolve(monkeypatch):
+    """kernel_metrics reads each trial attribute it times its kernels on.
+
+    It draws the canonical and the 16x16 planar trial and reads the realization,
+    the sensing setup, the truth (dense H, supports, patterns, offsets) and the
+    measurements; with per_call_us replaced by one untimed call per kernel,
+    every read and every kernel call runs once.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_kernels", PERFBENCH / "kernels.py")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    monkeypatch.setattr(kernels, "per_call_us", lambda fn: (fn(), 0.0)[1])
+    metrics = kernels.kernel_metrics(0)
+    names = ("coarse_omp", "offset_structured_somp", "ls_solve", "circ_xcorr_1d", "circ_xcorr_2d")
+    assert sorted(metrics) == sorted(f"micro.{name}.us" for name in names)

@@ -19,6 +19,7 @@ from risce.config import ArrayGeometry, SystemConfig
 from risce.harness import trial_rng
 from risce.numerics import dft_matrix
 from risce.sensing import (
+    ColumnBlock,
     GroundTruth,
     StructureViolation,
     beamspace_cascaded,
@@ -299,9 +300,10 @@ class TestSimulateMeasurements:
     def test_zero_channels_edge_case(self):
         geometry = ArrayGeometry.ula(16)
         setup = make_sensing_setup(8, geometry, 4, np.random.default_rng(0))
+        no_cols = np.zeros(0, dtype=int)
         truth = GroundTruth(
-            H=[np.zeros((16, 8), dtype=complex)],
-            col_support=np.zeros(0, dtype=int),
+            blocks=[ColumnBlock(no_cols, np.zeros((16, 0), dtype=complex), 8)],
+            col_support=no_cols,
             row_patterns=[np.zeros(0, dtype=int)],
             offsets=[0],
         )
@@ -342,7 +344,10 @@ class TestSimulateMeasurements:
     def test_overflowing_noise_variance_rejected_before_any_noise_draw(self):
         # -1500 dB is a valid SNR, but against this signal power the variance overflows
         _, setup, truth, _, _ = build_trial(SystemConfig())
-        loud = dataclasses.replace(truth, H=[1e150 * H_k for H_k in truth.H])
+        loud = dataclasses.replace(
+            truth,
+            blocks=[dataclasses.replace(b, values=1e150 * b.values) for b in truth.blocks],
+        )
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="not finite"):
