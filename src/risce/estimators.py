@@ -59,11 +59,12 @@ def residual_stop_threshold(noise_variance: float, n_pilots: int) -> float:
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
 
-    The input also memoises the single-column pursuits run on it: the fit of
-    user k's column c depends only on (Y[k][:, c], sensing_matrix,
-    row_counts[k]), so every estimator given the same input reads one shared
-    fit per (user, column) pair instead of fitting it again.  The fields must
-    not be changed once an estimator has run on the input.
+    The input also memoises what several estimators compute from it alone: the
+    joint column support, and the single-column pursuits.  The fit of user k's
+    column c depends only on (Y[k][:, c], sensing_matrix, row_counts[k]), so
+    every estimator given the same input reads one shared fit per (user,
+    column) pair instead of fitting it again.  The fields must not be changed
+    once an estimator has run on the input.
     """
 
     Y: list[np.ndarray]  # per-user n_pilots x n_bs measurements
@@ -102,6 +103,13 @@ class EstimatorInput:
                 RuntimeWarning,
                 stacklevel=2,
             )
+
+    @cached_property
+    def _joint_columns(self) -> np.ndarray:
+        """joint_column_support(Y, n_columns), computed once and read-only: estimates share it."""
+        cols = joint_column_support(self.Y, self.n_columns)
+        cols.flags.writeable = False
+        return cols
 
 
 @dataclass
@@ -421,7 +429,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     occupied column the offset is zero by definition, so there is no coarse
     pass, and the joint pass is the shared single-column fit of that column.
     """
-    cols = joint_column_support(inp.Y, inp.n_columns)
+    cols = inp._joint_columns
     col_sets = [cols] * len(inp.Y)
     diagnostics: dict = {"offset_fallback": []}
     if inp.n_columns == 1:
@@ -459,7 +467,7 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     user's retained columns are then recovered independently by per-column
     OMP, with no offset coupling between columns.
     """
-    cols = joint_column_support(inp.Y, inp.n_columns)
+    cols = inp._joint_columns
     blocks, rank_flag = _column_pursuits(inp, [cols] * len(inp.Y))
     return EstimateReport(
         blocks=blocks,

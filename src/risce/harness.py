@@ -7,8 +7,11 @@ mean propagated to dB.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -147,6 +150,61 @@ def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> Tr
     return TrialResult(nmse_lin=ratios, errors=errors)
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """The loaded OpenBLAS's (get, set) thread-count functions, or None if there are none.
+
+    The library is found among the shared objects mapped into this process, and
+    the functions under the symbol names of the scipy-openblas ILP64 build, of
+    a plain ILP64 build and of a plain build, in that order.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            libs = sorted(
+                {line.split()[-1] for line in maps if "openblas" in line.lower() and "/" in line}
+            )
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                set_.argtypes = [ctypes.c_int]
+                set_.restype = None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS at one thread, then restore the caller's count.
+
+    A trial's BLAS calls are small (at most a few hundred rows), and a second
+    OpenBLAS thread woken by one of them spins between calls: in
+    BENCH_11.json it doubled the CPU time of a trial for no gain in wall time
+    on the canonical sweep.  The count is per process, not per Python thread.
+    Without OpenBLAS this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 @dataclass
 class CellStats:
     """Aggregate for one (axis value, estimator) cell."""
@@ -188,7 +246,8 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     trial) pair gets its own seed stream, so results do not depend on the
     order values are given in.  Every point's configuration is built, and so
     checked, before the first trial runs.  A cell counts its failed trials by
-    message in CellStats.failure_reasons.
+    message in CellStats.failure_reasons.  The trials run with OpenBLAS at one
+    thread (see _one_blas_thread); the caller's thread count is restored after.
     """
     if axis == "pilot_length":
         sorted_values = sorted({int(v) for v in values})
@@ -201,19 +260,20 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     if not sorted_values:
         raise ValueError("at least one axis value is required")
     cells: dict = {}
-    for axis_index, (value, point_config) in enumerate(zip(sorted_values, point_configs)):
-        ratios: dict[str, list[float]] = {name: [] for name in config.estimators}
-        failures: dict[str, Counter] = {name: Counter() for name in config.estimators}
-        for trial_index in range(config.trials):
-            result = run_trial(point_config, trial_index, axis_index=axis_index)
+    with _one_blas_thread():
+        for axis_index, (value, point_config) in enumerate(zip(sorted_values, point_configs)):
+            ratios: dict[str, list[float]] = {name: [] for name in config.estimators}
+            failures: dict[str, Counter] = {name: Counter() for name in config.estimators}
+            for trial_index in range(config.trials):
+                result = run_trial(point_config, trial_index, axis_index=axis_index)
+                for name in config.estimators:
+                    if name in result.nmse_lin:
+                        ratios[name].append(result.nmse_lin[name])
+                    else:
+                        failures[name][result.errors[name]] += 1
             for name in config.estimators:
-                if name in result.nmse_lin:
-                    ratios[name].append(result.nmse_lin[name])
-                else:
-                    failures[name][result.errors[name]] += 1
-        for name in config.estimators:
-            cell = _aggregate(ratios[name], failures[name].total())
-            cells[(value, name)] = replace(cell, failure_reasons=dict(failures[name]))
+                cell = _aggregate(ratios[name], failures[name].total())
+                cells[(value, name)] = replace(cell, failure_reasons=dict(failures[name]))
     return SweepResult(axis=axis, values=sorted_values, estimators=config.estimators, cells=cells)
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from risce.config import SystemConfig
-from risce.harness import ESTIMATORS, nmse_linear
+from risce.harness import ESTIMATORS, _aligned, nmse_linear
 
 CANONICAL_PILOTS = (32, 128)
 
@@ -41,7 +41,10 @@ def canonical_trials():
             for name in config.estimators:
                 try:
                     report = ESTIMATORS[name](inp, truth)
-                    record = (structure_digest(report), nmse_linear(report.H_hat, truth.H))
+                    record = (
+                        structure_digest(report),
+                        nmse_linear(*_aligned(report.blocks, truth.blocks)),
+                    )
                 except Exception:
                     record = None
                 cells[name].append(record)

@@ -774,6 +774,23 @@ class TestSharedColumnFits:
             extra_total += extra
         assert extra_total > 0, "no trial exercised a column outside the joint support"
 
+    def test_joint_support_is_computed_once_per_input(self, monkeypatch):
+        calls = []
+
+        def counting(Y, n_columns):
+            calls.append(n_columns)
+            return joint_column_support(Y, n_columns)
+
+        monkeypatch.setattr(estimators, "joint_column_support", counting)
+        _, _, _, _, inp = build_trial(SystemConfig(), trial_index=0)
+        expected = joint_column_support(inp.Y, inp.n_columns)
+        triple = estimate_triple_structured(inp)
+        row = estimate_row_structured(inp)
+        assert calls == [inp.n_columns]
+        npt.assert_array_equal(triple.col_support, expected)
+        npt.assert_array_equal(row.col_support, expected)
+        assert not triple.col_support.flags.writeable
+
     def test_one_column_joint_pass_reads_the_memo(self, monkeypatch):
         cfg = SystemConfig(bs_paths=1)
         for trial in range(3):

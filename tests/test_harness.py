@@ -1,6 +1,12 @@
 """Tests for NMSE accounting, seeded trials, axis sweeps, and CSV round trips."""
 
+import contextlib
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -347,3 +353,129 @@ class TestCsvRoundTrip:
         out = tmp_path / "empty.csv"
         emit_results(empty, out)
         assert out.read_text(encoding="utf-8") == CSV_HEADER + "\n"
+
+
+def _blas_threads():
+    """The loaded OpenBLAS's thread-count getter, or skip the test without one."""
+    calls = harness._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS with a thread-count API is loaded")
+    return calls[0]
+
+
+def _counting_run_trial(monkeypatch, get_threads):
+    """Wrap harness.run_trial to record the OpenBLAS thread count at every call."""
+    seen = []
+    original = harness.run_trial
+
+    def run_trial_counted(*args, **kwargs):
+        seen.append(get_threads())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", run_trial_counted)
+    return seen
+
+
+class TestBlasThreads:
+    """run_sweep runs its trials at one OpenBLAS thread and restores the caller's count.
+
+    No test here sets more threads than the process had when it started.
+    """
+
+    def test_trials_run_at_one_thread_and_count_is_restored(self, monkeypatch):
+        get_threads = _blas_threads()
+        before = get_threads()
+        seen = _counting_run_trial(monkeypatch, get_threads)
+        run_sweep(small_config(trials=2), "pilot_length", [16, 24])
+        assert seen == [1] * 4
+        assert get_threads() == before
+
+    def test_count_is_restored_when_the_loop_raises(self, monkeypatch):
+        get_threads = _blas_threads()
+        before = get_threads()
+        seen = _counting_run_trial(monkeypatch, get_threads)
+        with pytest.raises(ValueError, match="nope"):
+            run_sweep(small_config(estimators=("oracle_ls", "nope")), "pilot_length", [16])
+        assert seen == [1]
+        assert get_threads() == before
+
+    def test_no_openblas_leaves_the_count_alone(self, monkeypatch):
+        get_threads = _blas_threads()
+        before = get_threads()
+        monkeypatch.setattr(harness, "_openblas_thread_calls", lambda: None)
+        seen = _counting_run_trial(monkeypatch, get_threads)
+        result = run_sweep(small_config(trials=2), "pilot_length", [16])
+        assert seen == [before] * 2
+        assert get_threads() == before
+        assert all(cell.n_failed == 0 for cell in result.cells.values())
+
+    @pytest.mark.parametrize(
+        "geometry, axis, values",
+        [
+            (ArrayGeometry.ula(128), "pilot_length", [32, 128]),
+            (ArrayGeometry.upa(16, 16), "pilot_length", [64]),
+            (ArrayGeometry.ula(128), "snr", [-10.0, 10.0]),
+        ],
+        ids=["ula128", "upa16x16", "snr"],
+    )
+    def test_csv_is_byte_identical_without_the_pin(
+        self, geometry, axis, values, tmp_path, monkeypatch
+    ):
+        # scenario sizes of the benchmark's sweeps, whose products OpenBLAS
+        # splits over threads; the unpinned run uses the process's own count
+        cfg = SystemConfig(geometry=geometry, n_pilots=64, trials=2)
+        pinned, unpinned = tmp_path / "pinned.csv", tmp_path / "unpinned.csv"
+        emit_results(run_sweep(cfg, axis, values), pinned)
+        monkeypatch.setattr(harness, "_one_blas_thread", contextlib.nullcontext)
+        emit_results(run_sweep(cfg, axis, values), unpinned)
+        assert pinned.read_bytes() == unpinned.read_bytes()
+
+
+_IMPORT_PROBE = """
+import ctypes, json, os
+import numpy
+
+
+def blas_threads():
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libs = sorted({l.split()[-1] for l in maps if "openblas" in l.lower() and "/" in l})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for name in (
+            "scipy_openblas_get_num_threads64_",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            get = getattr(lib, name, None)
+            if get is not None:
+                return get()
+    return None
+
+
+def state():
+    env = {k: v for k, v in os.environ.items() if k.endswith("_NUM_THREADS")}
+    return {"blas_threads": blas_threads(), "thread_env": env}
+
+
+before = state()
+import risce, risce.channel, risce.cli, risce.config, risce.estimators, risce.harness
+import risce.numerics, risce.sensing
+print(json.dumps({"before": before, "after": state()}))
+"""
+
+
+def test_import_sets_no_thread_state():
+    """Importing risce changes neither the OpenBLAS thread count nor a *_NUM_THREADS variable.
+
+    The probe starts without the thread variables: this process has imported
+    risce already, so its own environment cannot show what the import did.
+    """
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert probe.returncode == 0, probe.stderr
+    states = json.loads(probe.stdout.strip().splitlines()[-1])
+    assert states["after"] == states["before"]

@@ -105,6 +105,16 @@ def build_trial(config, trial_index: int = 0, axis_index: int = 0):
     return realization, setup, truth, measurements, inp
 
 
+def block_flatnonzero(block) -> np.ndarray:
+    """np.flatnonzero of block.dense(), read from the block's own columns.
+
+    np.nonzero walks the values row by row, and the block's columns ascend, so
+    the flat indices row * n_bs + column come out ascending, as in the dense array.
+    """
+    rows, j = np.nonzero(block.values)
+    return rows * block.n_bs + block.cols[j]
+
+
 def structure_digest(report) -> str:
     """SHA-256 of an estimate's integer results, independent of its coefficients."""
 
@@ -117,7 +127,7 @@ def structure_digest(report) -> str:
         "row_patterns": (
             None if report.row_patterns is None else [ints(p) for p in report.row_patterns]
         ),
-        "nonzero": [ints(np.flatnonzero(H_k)) for H_k in report.H_hat],
+        "nonzero": [ints(block_flatnonzero(block)) for block in report.blocks],
     }
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
