@@ -1,16 +1,6 @@
 """Structured compressive-sensing cascaded channel estimation for reflector-aided uplinks."""
 
-from .channel import (
-    ChannelRealization,
-    RisBsPath,
-    UeRisPath,
-    cascade_spatial,
-    dense_channels,
-    generate_channels,
-    grid_sine,
-    steering_ula,
-    steering_upa,
-)
+from .channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
 from .config import DEFAULT_ESTIMATORS, ArrayGeometry, SystemConfig
 from .estimators import (
     EstimateReport,
@@ -24,7 +14,6 @@ from .estimators import (
     estimate_triple_structured,
     joint_column_support,
     offset_structured_somp,
-    residual_stop_threshold,
 )
 from .harness import (
     ESTIMATORS,
@@ -41,17 +30,24 @@ from .harness import (
 from .numerics import (
     circ_xcorr_1d,
     circ_xcorr_2d,
-    dft_matrix,
     ls_solve,
     signed_shift,
     top_l_indices,
+)
+from .reference import (
+    beamspace_cascaded,
+    cascade_spatial,
+    dense_channels,
+    dft_matrix,
+    grid_sine,
+    steering_ula,
+    steering_upa,
 )
 from .sensing import (
     GroundTruth,
     MeasurementSet,
     SensingSetup,
     StructureViolation,
-    beamspace_cascaded,
     extract_ground_truth,
     generate_phase_schedule,
     make_sensing_setup,

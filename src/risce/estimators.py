@@ -11,7 +11,6 @@ squares on the true supports.
 from __future__ import annotations
 
 import copy
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,22 +36,7 @@ __all__ = [
     "estimate_row_structured",
     "estimate_conventional_omp",
     "estimate_oracle_ls",
-    "residual_stop_threshold",
 ]
-
-
-def residual_stop_threshold(noise_variance: float, n_pilots: int) -> float:
-    """Residual-norm level sigma*sqrt(2T) for greedy recovery without a known sparsity.
-
-    Pass the result as stop_threshold to coarse_omp or offset_structured_somp
-    together with a generous atom cap; iteration then stops once the residual
-    is at the noise floor instead of after a fixed atom count.
-    """
-    if noise_variance < 0.0:
-        raise ValueError("noise_variance must be non-negative")
-    if n_pilots < 1:
-        raise ValueError("n_pilots must be positive")
-    return math.sqrt(2.0 * n_pilots * noise_variance)
 
 
 @dataclass
@@ -217,7 +201,7 @@ def _batched_lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     return coef, deficient
 
 
-def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=None) -> list[dict]:
+def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     """Greedy pursuit of B problems in lockstep against one dictionary a (T x N).
 
     Problem b fits the C columns Y[:, b, :] (Y is T x B x C) with one anchor
@@ -230,10 +214,9 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=No
     step k, so no incremental factorisation is kept between steps.  The oracle
     refits through the same function, and a refit depends only on its own
     system, so a pursuit that ends on the true rows returns the oracle's
-    coefficients bitwise.  Problem b stops after budgets[b] anchors, when its
-    best score is not positive (a zero residual), or once every column
-    residual norm is below stop_threshold.  Returns one offset_structured_somp
-    result per problem.
+    coefficients bitwise.  Problem b stops after budgets[b] anchors, or when
+    its best score is not positive (a zero residual).  Returns one
+    offset_structured_somp result per problem.
     """
     t, n = a.shape
     _, n_prob, n_cols = Y.shape
@@ -254,9 +237,6 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=No
     live = np.arange(n_prob)
     for k in range(kmax):
         live = live[budgets[live] > k]
-        if stop_threshold is not None:
-            below = np.linalg.norm(resid[live], axis=-1) < stop_threshold
-            live = live[~np.all(below, axis=1)]
         if live.size == 0:
             break
         power = (np.abs(atoms_h @ resid[live].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
@@ -297,21 +277,15 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None, stop_threshold=No
     ]
 
 
-def coarse_omp(
-    y: np.ndarray, a: np.ndarray, sparsity: int, stop_threshold: float | None = None
-) -> np.ndarray:
-    """Per-column OMP returning a dense length-n coefficient vector.
-
-    sparsity is the atom budget; an optional stop_threshold (see
-    residual_stop_threshold) ends iteration early at the noise floor.
-    """
+def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
+    """Per-column OMP with atom budget sparsity, returning a dense length-n coefficient vector."""
     y = np.asarray(y)
     a = np.asarray(a)
     if a.ndim != 2 or y.ndim != 1 or y.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {y.shape}")
     if sparsity < 0:
         raise ValueError("sparsity must be non-negative")
-    fit = _pursue(a, y[:, None, None], [sparsity], stop_threshold=stop_threshold)[0]
+    fit = _pursue(a, y[:, None, None], [sparsity])[0]
     rows, coef = fit["columns"][0]
     out = np.zeros(a.shape[1], dtype=complex)
     out[rows] = coef
@@ -352,7 +326,6 @@ def offset_structured_somp(
     offsets: list[Offset],
     n_rows: int,
     geometry: ArrayGeometry,
-    stop_threshold: float | None = None,
 ) -> dict:
     """Joint greedy row recovery across one user's occupied columns.
 
@@ -361,8 +334,7 @@ def offset_structured_somp(
     anchor by the squared correlation magnitude summed over columns (each
     column's correlation evaluated at the anchor shifted by that column's
     offset), then refits every column by least squares on its shifted support
-    and updates the residuals.  n_rows caps the anchor count; an optional
-    stop_threshold ends iteration once every column residual is below it.
+    and updates the residuals.  n_rows caps the anchor count.
     """
     y_cols = np.asarray(y_cols)
     a = np.asarray(a)
@@ -371,7 +343,7 @@ def offset_structured_somp(
     if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
     rolls = np.stack([roll_map(offset, geometry) for offset in offsets])
-    return _pursue(a, y_cols[:, None, :], [n_rows], rolls, stop_threshold)[0]
+    return _pursue(a, y_cols[:, None, :], [n_rows], rolls)[0]
 
 
 def _single_column_fits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> list[list[dict]]:

@@ -316,19 +316,23 @@ def _parse_axis(text: str) -> int | float:
 def load_results(path) -> list[dict]:
     """Parse a results CSV back into typed rows (None where a cell errored)."""
     text = Path(path).read_text(encoding="utf-8")
-    lines = [line for line in text.splitlines() if line]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"unrecognized results header in {path}")
     rows = []
-    for line in lines[1:]:
-        axis_value, estimator, nmse_field, stderr_field, trials = line.split(",")
-        rows.append(
-            {
-                "axis": _parse_axis(axis_value),
-                "estimator": estimator,
-                "nmse_db": None if nmse_field == "error" else float(nmse_field),
-                "stderr_db": None if stderr_field == "error" else float(stderr_field),
-                "trials": int(trials),
-            }
-        )
+    for lineno, line in lines[1:]:
+        try:
+            axis_value, estimator, nmse_field, stderr_field, trials = line.split(",")
+            rows.append(
+                {
+                    "axis": _parse_axis(axis_value),
+                    "estimator": estimator,
+                    "nmse_db": None if nmse_field == "error" else float(nmse_field),
+                    "stderr_db": None if stderr_field == "error" else float(stderr_field),
+                    "trials": int(trials),
+                }
+            )
+        except ValueError as exc:
+            message = f"{path}:{lineno}: expected a row of {CSV_HEADER!r}, got {line!r}"
+            raise ValueError(message) from exc
     return rows

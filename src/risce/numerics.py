@@ -1,5 +1,5 @@
-"""Complex linear-algebra primitives: DFT matrices, periodic cross-correlation,
-least squares, and top-L selection.
+"""Complex linear-algebra primitives: periodic cross-correlation, least squares,
+and top-L selection.
 
 All functions are pure; tie-breaking always favours the smallest index so
 results are reproducible bit for bit.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "dft_matrix",
     "circ_xcorr_1d",
     "circ_xcorr_2d",
     "ls_solve",
@@ -18,14 +17,6 @@ __all__ = [
     "signed_shift",
     "peak_shift_2d",
 ]
-
-
-def dft_matrix(n: int) -> np.ndarray:
-    """Unitary n x n DFT matrix with entries exp(-2j*pi*m*k/n) / sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"DFT size must be a positive integer, got {n}")
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
 def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:

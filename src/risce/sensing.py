@@ -1,4 +1,4 @@
-"""Pilot-side model: reflector phase schedules, the beamspace transform, noisy
+"""Pilot-side model: reflector phase schedules, the FFT sensing matrix, noisy
 measurements, and the sparse ground truth built in closed form from the path lists.
 
 Measurement convention for user k:
@@ -22,9 +22,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelRealization, cascade_spatial
+from .channel import ChannelRealization
 from .config import ArrayGeometry, is_noiseless, snr_ratio
-from .numerics import dft_matrix, signed_shift
+from .numerics import signed_shift
 
 # the benchmark tracer wraps these two names on this module, so they stay imported here
 from .numerics import circ_xcorr_1d, circ_xcorr_2d  # noqa: F401
@@ -113,16 +113,6 @@ def make_sensing_setup(
     return SensingSetup(
         phases=phases, sensing_matrix=np.ascontiguousarray(sensing_matrix), geometry=geometry
     )
-
-
-def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Beamspace cascaded channel f_ris @ (G @ diag(h_k))^H @ f_bs^H for one user.
-
-    The model's dense definition: the reference the closed-form truth is tested against.
-    """
-    spatial = cascade_spatial(G, h_k)
-    f_ris = np.kron(dft_matrix(geometry.n1), dft_matrix(geometry.n2))
-    return f_ris @ spatial.conj().T @ dft_matrix(G.shape[0]).conj().T
 
 
 def _shift(idx: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:

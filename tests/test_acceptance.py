@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from risce.channel import cascade_spatial, dense_channels, generate_channels
+from risce.channel import generate_channels
 from risce.cli import main as cli_main
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
@@ -26,6 +26,7 @@ from risce.estimators import (
     joint_column_support,
 )
 from risce.harness import SweepResult, _aggregate, emit_results, run_sweep, trial_rng
+from risce.reference import cascade_spatial, dense_channels
 from util import build_trial, double_sum_cascade, per_user_nmse_db, record
 
 TOL_DB = 1.5

@@ -6,20 +6,17 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risce.channel import (
-    ChannelRealization,
-    RisBsPath,
-    UeRisPath,
+from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
+from risce.config import ArrayGeometry, SystemConfig
+from risce.reference import (
     cascade_spatial,
     dense_channels,
-    generate_channels,
+    dft_matrix,
     grid_sine,
     ris_steering,
     steering_ula,
     steering_upa,
 )
-from risce.config import ArrayGeometry, SystemConfig
-from risce.numerics import dft_matrix
 from util import double_sum_cascade, phase_ramp
 
 

@@ -151,6 +151,19 @@ class TestConfigFile:
         cfg.write_text("n_ris = 64\nupa = 8x8\n", encoding="utf-8")
         assert main(["single", "--config", str(cfg)]) == 1
 
+    # one bad value per value type: integer, integer pair, float, boolean
+    @pytest.mark.parametrize(
+        "key, value, culprit",
+        [("pilots", "3x", "'3x'"), ("upa", "16x", "''"), ("snr_db", "loud", "'loud'"),
+         ("noiseless", "maybe", "'maybe'")],
+    )
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, key, value, culprit):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert main(["single", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {key}: ") and err.rstrip().endswith(culprit)
+
     def test_missing_file_rejected(self):
         assert main(["single", "--config", "/no/such/file.cfg"]) == 1
 

@@ -2,16 +2,21 @@
 
 A trial builds, measures and scores every channel over its own columns; the
 dense n_elements x n_bs views (GroundTruth.H, EstimateReport.H_hat) are built
-on first read, and the trial never reads them.  These checks hold the block
-path to the dense definitions.
+on first read, and the trial never reads them, nor the dense reference model
+in risce.reference.  These checks hold the block path to the dense definitions.
 """
 
+import ast
 import dataclasses
+import inspect
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import risce.reference as reference
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import EstimateReport
 from risce.harness import ESTIMATORS, nmse_linear, run_trial
@@ -43,9 +48,48 @@ def test_trial_reads_no_dense_view(config, monkeypatch):
 
     monkeypatch.setattr(GroundTruth, "H", property(refuse))
     monkeypatch.setattr(EstimateReport, "H_hat", property(refuse))
+    patched = set()
+    for name, fn in inspect.getmembers(reference, inspect.isfunction):
+        if name.startswith("_") or fn.__module__ != reference.__name__:
+            continue
+
+        def refuse_call(*args, _name=name, **kwargs):
+            raise AssertionError(f"reference.{_name} was called on the trial path")
+
+        # every module that binds the function, the package and the test modules included
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is fn:
+                monkeypatch.setattr(module, name, refuse_call)
+                patched.add((module.__name__, name))
+    assert {name for module, name in patched if module == "risce.reference"} == {
+        "beamspace_cascaded", "cascade_spatial", "dense_channels", "dft_matrix",
+        "grid_sine", "ris_steering", "steering_ula", "steering_upa",
+    }
+    assert ("risce", "dense_channels") in patched
     result = run_trial(config, trial_index=0)
     assert result.errors == {}
     assert set(result.nmse_lin) == set(config.estimators)
+
+
+def test_only_the_package_imports_the_reference_model():
+    package = Path(reference.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "reference.py":
+            # an FFT here would make the dense-transform checks compare the trial path with itself
+            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                        and node.attr == "fft"], "reference.py uses np.fft"
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = ".".join(filter(None, ["risce" if node.level else "", node.module]))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[:2] == ["risce", "reference"]], path.name
 
 
 def test_trial_nmse_equals_dense_nmse():

@@ -23,7 +23,6 @@ from risce.estimators import (
     estimate_triple_structured,
     joint_column_support,
     offset_structured_somp,
-    residual_stop_threshold,
 )
 from risce.harness import nmse_linear, run_trial
 from risce.numerics import ls_solve
@@ -163,63 +162,6 @@ class TestCoarseOmp:
             coarse_omp(np.ones(4), np.ones((5, 8)), 1)
         with pytest.raises(ValueError):
             coarse_omp(np.ones(4), np.ones((4, 8)), -1)
-
-
-class TestResidualStopThreshold:
-    def test_known_value(self):
-        assert residual_stop_threshold(2.0, 16) == 8.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            residual_stop_threshold(-1.0, 16)
-        with pytest.raises(ValueError):
-            residual_stop_threshold(1.0, 0)
-
-    def test_noiseless_threshold_stops_at_true_sparsity(self):
-        # the same slack-budget problem as above, but a noise-floor threshold
-        # ends iteration before any spurious atom is spent
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((32, 64)) + 1j * rng.standard_normal((32, 64))
-        x0 = np.zeros(64, dtype=complex)
-        x0[[4, 20, 41]] = [1.0 + 0.5j, -2.0, 0.75j]
-        x = coarse_omp(a @ x0, a, 10, stop_threshold=1e-9)
-        npt.assert_array_equal(np.flatnonzero(x), [4, 20, 41])
-        npt.assert_allclose(x[[4, 20, 41]], x0[[4, 20, 41]], atol=1e-8)
-
-    def test_noisy_stop_near_noise_floor(self):
-        # budget equals the pilot count, so without the threshold OMP would
-        # spend all 32 atoms; with it the support stays near the true size
-        sizes = []
-        hits = 0
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            a = rng.standard_normal((32, 128)) + 1j * rng.standard_normal((32, 128))
-            a /= np.sqrt(2 * 32)
-            support = np.sort(rng.choice(128, size=3, replace=False))
-            x0 = np.zeros(128, dtype=complex)
-            x0[support] = 4.0 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            sigma2 = 0.01
-            noise = np.sqrt(sigma2 / 2) * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-            x = coarse_omp(a @ x0 + noise, a, 32,
-                           stop_threshold=residual_stop_threshold(sigma2, 32))
-            nz = np.flatnonzero(x)
-            sizes.append(nz.size)
-            hits += set(support.tolist()) <= set(nz.tolist())
-        assert max(sizes) <= 4
-        assert hits >= 45
-
-    def test_somp_threshold_recovers_exact_anchor_count(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
-        _, setup, truth, meas, inp = build_trial(cfg)
-        fit = offset_structured_somp(
-            meas.Y[0][:, truth.col_support],
-            setup.sensing_matrix,
-            truth.offsets,
-            inp.row_counts[0] + 5,
-            cfg.geometry,
-            stop_threshold=1e-9,
-        )
-        npt.assert_array_equal(fit["anchors"], truth.row_patterns[0])
 
 
 class TestCommonOffsets:
@@ -409,27 +351,6 @@ class TestPursuitKernel:
             rows, coef = fit["columns"][0]
             npt.assert_array_equal(rows, np.flatnonzero(single))
             npt.assert_allclose(coef, single[rows], rtol=0, atol=1e-12)
-
-    def test_stop_threshold_ends_each_pursuit_at_the_noise_floor(self):
-        rng = np.random.default_rng(9)
-        t, n, n_prob, sigma2 = 32, 128, 10, 0.01
-        a = (rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))) / np.sqrt(2 * t)
-        Y = np.sqrt(sigma2 / 2) * (
-            rng.standard_normal((t, n_prob, 1)) + 1j * rng.standard_normal((t, n_prob, 1))
-        )
-        supports = []
-        for b in range(n_prob):
-            support = np.sort(rng.choice(n, size=3, replace=False))
-            gains = 4.0 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-            Y[:, b, 0] += a[:, support] @ gains
-            supports.append(set(support.tolist()))
-        threshold = residual_stop_threshold(sigma2, t)
-        fits = _pursue(a, Y, [t] * n_prob, stop_threshold=threshold)
-        assert max(fit["anchors"].size for fit in fits) <= 4
-        assert sum(truth <= set(self.support(fit)) for truth, fit in zip(supports, fits)) >= 9
-        for b, fit in enumerate(fits):
-            single = coarse_omp(Y[:, b, 0], a, t, stop_threshold=threshold)
-            assert self.support(fit) == np.flatnonzero(single).tolist()
 
     def test_group_collision_matches_each_problems_own_rows(self):
         # column 1's roll sends anchors 2 and 5 to one row; in one batch the

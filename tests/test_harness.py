@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import risce
 import risce.harness as harness
 from risce.channel import generate_channels
 from risce.config import MIN_SNR_DB, ArrayGeometry, SystemConfig
@@ -348,6 +350,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             load_results(bad)
 
+    @pytest.mark.parametrize("row", ["24,oracle_ls,-21.0", "24,oracle_ls,loud,0.1,3"])
+    def test_malformed_row_named_with_its_line(self, tmp_path, row):
+        bad = tmp_path / "bad_row.csv"
+        # the bad row is line 4: a blank line still counts
+        bad.write_text(f"{CSV_HEADER}\n16,oracle_ls,-20.0,0.1,3\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_results(bad)
+        message = str(info.value)
+        assert f"{bad}:4:" in message and CSV_HEADER in message and row in message
+
     def test_no_estimators_writes_header_only(self, tmp_path):
         empty = SweepResult(axis="pilot_length", values=[16], estimators=(), cells={})
         out = tmp_path / "empty.csv"
@@ -459,7 +471,7 @@ def state():
 
 before = state()
 import risce, risce.channel, risce.cli, risce.config, risce.estimators, risce.harness
-import risce.numerics, risce.sensing
+import risce.numerics, risce.reference, risce.sensing
 print(json.dumps({"before": before, "after": state()}))
 """
 
@@ -479,3 +491,24 @@ def test_import_sets_no_thread_state():
     assert probe.returncode == 0, probe.stderr
     states = json.loads(probe.stdout.strip().splitlines()[-1])
     assert states["after"] == states["before"]
+
+
+def test_public_surface():
+    """The names the package exports: no more and no fewer than the documented set."""
+    exported = {
+        name for name, value in vars(risce).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == {
+        "ArrayGeometry", "ChannelRealization", "DEFAULT_ESTIMATORS", "ESTIMATORS",
+        "EstimateReport", "EstimatorInput", "GroundTruth", "MeasurementSet", "NMSE_FLOOR_DB",
+        "OffsetUndetermined", "RisBsPath", "SensingSetup", "StructureViolation", "SweepResult",
+        "SystemConfig", "TrialResult", "UeRisPath", "beamspace_cascaded", "cascade_spatial",
+        "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp", "dense_channels", "dft_matrix",
+        "emit_results", "estimate_common_offsets", "estimate_conventional_omp",
+        "estimate_oracle_ls", "estimate_row_structured", "estimate_triple_structured",
+        "extract_ground_truth", "generate_channels", "generate_phase_schedule", "grid_sine",
+        "joint_column_support", "load_results", "ls_solve", "make_sensing_setup", "nmse",
+        "nmse_linear", "offset_structured_somp", "run_sweep", "run_trial", "shift_indices",
+        "signed_shift", "simulate_measurements", "steering_ula", "steering_upa", "top_l_indices",
+    }

@@ -7,12 +7,12 @@ import pytest
 from risce.numerics import (
     circ_xcorr_1d,
     circ_xcorr_2d,
-    dft_matrix,
     ls_solve,
     peak_shift_2d,
     signed_shift,
     top_l_indices,
 )
+from risce.reference import dft_matrix
 
 
 class TestDftMatrix:

@@ -7,22 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risce.channel import (
-    ChannelRealization,
-    RisBsPath,
-    UeRisPath,
-    cascade_spatial,
-    dense_channels,
-    generate_channels,
-)
+from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
 from risce.config import ArrayGeometry, SystemConfig
 from risce.harness import trial_rng
-from risce.numerics import dft_matrix
+from risce.reference import beamspace_cascaded, cascade_spatial, dense_channels, dft_matrix
 from risce.sensing import (
     ColumnBlock,
     GroundTruth,
     StructureViolation,
-    beamspace_cascaded,
     extract_ground_truth,
     generate_phase_schedule,
     make_sensing_setup,
