@@ -76,6 +76,7 @@ def _parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     entries: dict = {}
+    first_line: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -87,7 +88,11 @@ def _parse_config_file(path: str) -> dict:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value
+        if key in entries:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key {key!r} (first at line {first_line[key]})"
+            )
+        entries[key], first_line[key] = value, lineno
     if "n_ris" in entries and "upa" in entries:
         raise ValueError(f"{path}: give either n_ris or upa, not both")
     values: dict = {}

@@ -43,15 +43,17 @@ __all__ = [
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
 
-    The input also memoises what several estimators compute from it alone: the
-    joint column support, and the single-column pursuits.  The fit of user k's
-    column c depends only on (Y[k][:, c], sensing_matrix, row_counts[k]), so
-    every estimator given the same input reads one shared fit per (user,
-    column) pair instead of fitting it again.  The fields must not be changed
-    once an estimator has run on the input.
+    Y is kept as given when it is one array; a list of per-user arrays is
+    shape-checked and stacked once.  The input also memoises what several
+    estimators compute from it alone: the joint column support, and the
+    single-column pursuits.  The fit of user k's column c depends only on
+    (Y[k][:, c], sensing_matrix, row_counts[k]), so every estimator given the
+    same input reads one shared fit per (user, column) pair instead of fitting
+    it again.  The fields must not be changed once an estimator has run on the
+    input.
     """
 
-    Y: list[np.ndarray]  # per-user n_pilots x n_bs measurements
+    Y: np.ndarray  # users x n_pilots x n_bs measurements; Y[k] is user k's
     sensing_matrix: np.ndarray  # n_pilots x n_elements
     n_columns: int  # shared occupied-column count
     row_counts: list[int]  # per-user nonzero rows per occupied column
@@ -60,15 +62,19 @@ class EstimatorInput:
     _column_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.Y:
+        if len(self.Y) == 0:
             raise ValueError("at least one user measurement is required")
-        shape = self.Y[0].shape
-        if len(shape) != 2:
+        if np.ndim(self.Y[0]) != 2:
             raise ValueError("measurements must be 2-D arrays")
-        for k, Y_k in enumerate(self.Y):
-            if Y_k.shape != shape:
-                raise ValueError(f"user {k} measurement shape {Y_k.shape} differs from {shape}")
-        n_pilots, n_bs = shape
+        if not isinstance(self.Y, np.ndarray):
+            shape = np.shape(self.Y[0])
+            for k, Y_k in enumerate(self.Y):
+                if np.shape(Y_k) != shape:
+                    raise ValueError(
+                        f"user {k} measurement shape {np.shape(Y_k)} differs from {shape}"
+                    )
+            self.Y = np.stack(self.Y)
+        _, n_pilots, n_bs = self.Y.shape
         if self.sensing_matrix.ndim != 2 or self.sensing_matrix.shape[0] != n_pilots:
             raise ValueError("sensing matrix row count must match the pilot length")
         if self.sensing_matrix.shape[1] != self.geometry.n_elements:
@@ -101,7 +107,8 @@ class EstimateReport:
     """Estimator output: per-user channel estimates plus recovered structure.
 
     Each user's estimate is a column block over the columns that user's
-    estimate occupies.  offsets and row_patterns are None for estimators that
+    estimate occupies; the blocks are views of one users x n_elements x
+    n_columns array.  offsets and row_patterns are None for estimators that
     do not model the cross-column coupling.
     """
 
@@ -130,16 +137,19 @@ class OffsetUndetermined(RuntimeError):
         self.failed = failed
 
 
-def joint_column_support(Y: list[np.ndarray], n_columns: int) -> np.ndarray:
+def _column_power(Y) -> np.ndarray:
+    """users x n_bs measurement power per column, from a users x n_pilots x n_bs stack."""
+    return np.sum(np.abs(Y) ** 2, axis=1)
+
+
+def joint_column_support(Y, n_columns: int) -> np.ndarray:
     """Occupied-column detection from the diagonal of sum_k Y_k^H @ Y_k.
 
-    The diagonal equals the per-column measurement power summed over users, so
-    the shared support is the top-n_columns entries (ascending index order).
+    The diagonal equals the per-column measurement power summed over users, in
+    user order, so the shared support is the top-n_columns entries (ascending
+    index order).  Y is a users x n_pilots x n_bs stack or a list of its slices.
     """
-    power = np.zeros(Y[0].shape[1])
-    for Y_k in Y:
-        power += np.sum(np.abs(Y_k) ** 2, axis=0)
-    return top_l_indices(power, n_columns)
+    return top_l_indices(_column_power(Y).sum(axis=0), n_columns)
 
 
 # A refit whose smallest Cholesky pivot is at most this fraction of its largest
@@ -216,7 +226,8 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     system, so a pursuit that ends on the true rows returns the oracle's
     coefficients bitwise.  Problem b stops after budgets[b] anchors, or when
     its best score is not positive (a zero residual).  Returns one
-    offset_structured_somp result per problem.
+    offset_structured_somp result per problem; its arrays are views of arrays
+    this call made, shared by no other call.
     """
     t, n = a.shape
     _, n_prob, n_cols = Y.shape
@@ -267,9 +278,9 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     collision = np.any((np.diff(rows, axis=2) == 0) & valid[:, None, :], axis=(1, 2))
     return [
         {
-            "anchors": anchors[b, :m].copy(),
-            "columns": [(rows[b, c, :m].copy(), coef[b, c, :m].copy()) for c in range(n_cols)],
-            "residual_history": history[b, :m].copy(),
+            "anchors": anchors[b, :m],
+            "columns": [(rows[b, c, :m], coef[b, c, :m]) for c in range(n_cols)],
+            "residual_history": history[b, :m],
             "rank_deficient": bool(deficient[b]),
             "group_collision": bool(collision[b]),
         }
@@ -358,9 +369,10 @@ def _single_column_fits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> list
     keys = [[(k, int(c)) for c in cols] for k, cols in enumerate(col_sets)]
     todo = [key for user in keys for key in user if key not in fits]
     if todo:
-        Y = np.stack([inp.Y[k][:, c] for k, c in todo], axis=1)
-        budgets = [inp.row_counts[k] for k, _ in todo]
-        fits.update(zip(todo, _pursue(inp.sensing_matrix, Y[:, :, None], budgets)))
+        users, cols = np.array(todo).T
+        ys = inp.Y[users, :, cols]  # one gather: problem x pilot
+        budgets = np.asarray(inp.row_counts)[users]
+        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys.T[:, :, None], budgets)))
     return [[fits[key] for key in user] for user in keys]
 
 
@@ -376,19 +388,20 @@ def _column_pursuits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> tuple[l
 
 
 def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
-    """Per-user column blocks from (rows, coef) fits.
+    """Per-user column blocks from (rows, coef) fits, views of one users x N x C array.
 
-    User k's block covers the ascending columns col_sets[k], and its fit
-    columns[k][j] fills block column j.
+    User k's block covers the ascending columns col_sets[k], all of one count
+    C, and its fit columns[k][j] fills block column j.  Every fit is written
+    in one scatter.
     """
-    n_bs = inp.Y[0].shape[1]
-    blocks = []
-    for cols, fits in zip(col_sets, columns):
-        values = np.zeros((inp.geometry.n_elements, len(cols)), dtype=complex)
-        for j, (rows, coef) in enumerate(fits):
-            values[rows, j] = coef
-        blocks.append(ColumnBlock(cols, values, n_bs))
-    return blocks
+    n_cols = len(col_sets[0])
+    fits = [fit for user in columns for fit in user]
+    pair = np.repeat(np.arange(len(fits)), [rows.size for rows, _ in fits])  # k * C + j
+    values = np.zeros((len(col_sets), inp.geometry.n_elements, n_cols), dtype=complex)
+    rows = np.concatenate([rows for rows, _ in fits])
+    values[pair // n_cols, rows, pair % n_cols] = np.concatenate([coef for _, coef in fits])
+    n_bs = inp.Y.shape[2]
+    return [ColumnBlock(cols, block, n_bs) for cols, block in zip(col_sets, values)]
 
 
 def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
@@ -418,8 +431,8 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
             offsets = err.offsets
             diagnostics["offset_fallback"] = list(err.failed)
         rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
-        Y = np.stack([Y_k[:, cols] for Y_k in inp.Y], axis=1)
-        fits = _pursue(inp.sensing_matrix, Y, inp.row_counts, rolls)
+        ys = np.swapaxes(inp.Y, 1, 2)[:, cols]  # one gather: user x column x pilot
+        fits = _pursue(inp.sensing_matrix, np.moveaxis(ys, -1, 0), inp.row_counts, rolls)
     diagnostics["rank_deficient"] = any(fit["rank_deficient"] for fit in fits)
     diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
     diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
@@ -455,13 +468,15 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
 
     Each user keeps its own top-power columns (the same count as the shared
     support) and recovers each retained column independently, so the total
-    atom budget per user is n_columns * row_count.
+    atom budget per user is n_columns * row_count.  The pruning is one stable
+    argsort of every user's column powers, ties to the smallest index.
     """
-    supports = [top_l_indices(np.sum(np.abs(Y_k) ** 2, axis=0), inp.n_columns) for Y_k in inp.Y]
+    order = np.argsort(-_column_power(inp.Y), axis=1, kind="stable")
+    supports = list(np.sort(order[:, : inp.n_columns], axis=1))
     blocks, rank_flag = _column_pursuits(inp, supports)
     return EstimateReport(
         blocks=blocks,
-        col_support=np.unique(np.concatenate(supports)),
+        col_support=np.unique(supports),
         offsets=None,
         row_patterns=None,
         diagnostics={"rank_deficient": rank_flag, "per_user_col_support": supports},
@@ -471,33 +486,36 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:
     """Least squares on the true supports; the performance bound for support-aware recovery.
 
-    The refits go through _batched_lstsq on sorted rows, as the greedy pursuits' do.
+    The refits go through _batched_lstsq on sorted rows, as the greedy pursuits'
+    do: one call per row-pattern size, over every (user, column) system of the
+    users with that size, user-major.  Each group is one gather of atoms and
+    measurements and one scatter of coefficients.
     """
-    a = inp.sensing_matrix
+    t = inp.sensing_matrix.shape[0]
+    atoms = np.ascontiguousarray(inp.sensing_matrix.T)
     cols = np.array(truth.col_support, dtype=int, copy=True)
-    rolls = [roll_map(offset, inp.geometry) for offset in truth.offsets]
-    # (user, block column, rows): block column j is BS beam cols[j]
-    systems = [
-        (k, j, np.sort(roll[pattern]))
-        for k, pattern in enumerate(truth.row_patterns)
-        for j, roll in enumerate(rolls)
-    ]
-    values = [np.zeros((inp.geometry.n_elements, cols.size), dtype=complex) for _ in inp.Y]
+    rolls = np.stack([roll_map(offset, inp.geometry) for offset in truth.offsets])
+    sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
+    flat = np.concatenate(truth.row_patterns)  # a copy: the report's patterns are split from it
+    starts = np.cumsum(sizes) - sizes
+    values = np.zeros((sizes.size, inp.geometry.n_elements, cols.size), dtype=complex)
+    block_cols = np.arange(cols.size)[None, :, None]
     rank_flag = False
-    for size in sorted({rows.size for _, _, rows in systems}):
-        group = [system for system in systems if system[2].size == size]
+    for size in np.unique(sizes):
+        users = np.flatnonzero(sizes == size)
+        patterns = flat[starts[users, None] + np.arange(size)]  # users x size
+        rows = np.sort(np.swapaxes(rolls[:, patterns], 0, 1), axis=-1)  # users x C x size
         coef, deficient = _batched_lstsq(
-            np.stack([a[:, rows] for _, _, rows in group]),
-            np.stack([inp.Y[k][:, cols[j]] for k, j, _ in group]),
+            np.swapaxes(atoms[rows], -1, -2).reshape(-1, t, size),
+            inp.Y[users[:, None], :, cols].reshape(-1, t),
         )
         rank_flag = rank_flag or bool(deficient.any())
-        for (k, j, rows), x in zip(group, coef):
-            values[k][rows, j] = x
-    n_bs = inp.Y[0].shape[1]
+        values[users[:, None, None], rows, block_cols] = coef.reshape(rows.shape)
+    n_bs = inp.Y.shape[2]
     return EstimateReport(
         blocks=[ColumnBlock(cols, block, n_bs) for block in values],
         col_support=cols,
         offsets=list(truth.offsets),
-        row_patterns=[np.array(p, dtype=int, copy=True) for p in truth.row_patterns],
+        row_patterns=np.split(flat, np.cumsum(sizes)[:-1]),
         diagnostics={"rank_deficient": rank_flag},
     )

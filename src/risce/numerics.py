@@ -40,7 +40,9 @@ def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """2-D analogue of :func:`circ_xcorr_1d`, wrapping each axis independently.
 
     c[d1, d2] = |sum_{m1,m2} conj(u[m1, m2]) * v[(m1 + d1) mod n1, (m2 + d2) mod n2]|
-    over the last two axes; any leading axes index a batch of map pairs.
+    over the last two axes; any leading axes index a batch of map pairs.  An
+    operand broadcast along a leading axis (stride 0, as np.broadcast_to
+    gives) is transformed once per distinct map and its spectrum broadcast.
     """
     u = np.asarray(u)
     v = np.asarray(v)
@@ -50,8 +52,16 @@ def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValueError("arrays must be non-empty")
     # the transform along a length-1 axis is the identity, so only longer axes are transformed
     axes = tuple(axis for axis in (-2, -1) if u.shape[axis] > 1)
-    spectrum = np.conj(np.fft.fftn(u, axes=axes)) * np.fft.fftn(v, axes=axes)
+    spectrum = np.conj(np.fft.fftn(_distinct_maps(u), axes=axes))
+    spectrum = spectrum * np.fft.fftn(_distinct_maps(v), axes=axes)
+    if spectrum.shape != u.shape:  # both operands broadcast along one axis
+        spectrum = np.broadcast_to(spectrum, u.shape)
     return np.abs(np.fft.ifftn(spectrum, axes=axes))
+
+
+def _distinct_maps(x: np.ndarray) -> np.ndarray:
+    """x cut to length 1 along each leading axis it is broadcast along (stride 0)."""
+    return x[tuple(slice(None, 1 if stride == 0 else None) for stride in x.strides[:-2])]
 
 
 def ls_solve(a_sub: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -12,6 +12,9 @@ beams) and W_k is white complex Gaussian noise.  A is an orthonormal inverse
 FFT of the conjugated phases: row t is the 2-D inverse FFT of conj(phases[:, t])
 laid out on the element grid, so no DFT matrix is formed.  A linear array is
 the n2 == 1 grid: both layouts take one code path, with shifts per grid axis.
+Users are the leading array axis: Y_k is Y[k] of one users x n_pilots x n_bs
+array, and H_k's occupied columns are values[k] of one users x n_elements x
+len(col_support) array.
 """
 
 from __future__ import annotations
@@ -73,10 +76,16 @@ class ColumnBlock:
 class GroundTruth:
     """Beamspace channels plus the sparsity metadata estimators are judged against."""
 
-    blocks: list[ColumnBlock]  # per-user beamspace cascaded channels over col_support
+    values: np.ndarray  # users x n_elements x len(col_support): user k's channel over col_support
     col_support: np.ndarray  # shared nonzero column indices, ascending
     row_patterns: list[np.ndarray]  # per-user row support of the first nonzero column
     offsets: list[Offset]  # per-column circular shift relative to the first column
+    n_bs: int
+
+    @cached_property
+    def blocks(self) -> list[ColumnBlock]:
+        """Per-user beamspace cascaded channels over col_support, views of values."""
+        return [ColumnBlock(self.col_support, values, self.n_bs) for values in self.values]
 
     @cached_property
     def H(self) -> list[np.ndarray]:
@@ -86,9 +95,9 @@ class GroundTruth:
 
 @dataclass
 class MeasurementSet:
-    """Per-user pilot observations and the noise variance they were drawn with."""
+    """Every user's pilot observations and the noise variance they were drawn with."""
 
-    Y: list[np.ndarray]  # per-user n_pilots x n_bs
+    Y: np.ndarray  # users x n_pilots x n_bs; Y[k] is user k's measurements
     noise_variance: float
 
 
@@ -142,7 +151,9 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
     the shifts are the same for every user.  Raises StructureViolation for
     path lists that break this one-entry-per-pair form: no BS path, two BS
     paths on one BS beam, two paths of one user on one reflector index, or a
-    zero gain.
+    zero gain; a per-user violation names the first user that has one.  All
+    users' entries go into one users x n_elements x len(col_support) array in
+    one scatter.
     """
     geometry = setup.geometry
     dims = (geometry.n1, geometry.n2)
@@ -160,29 +171,39 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
         for ris in g_ris
     ]
 
-    blocks: list[ColumnBlock] = []
-    row_patterns: list[np.ndarray] = []
-    # rows[p, q] lands in column p of the block, which is BS beam col_support[p]
-    block_cols = np.arange(col_support.size)[:, None]
-    for k, user_paths in enumerate(realization.h_paths):
-        pairs = [geometry.to_pair(path.ris_index) for path in user_paths]
-        u_ris = np.array(pairs, dtype=int).reshape(-1, 2)
-        u_gains = np.array([path.gain for path in user_paths], dtype=complex)
-        # rows[p, q]: flat row of the (BS path p, user path q) entry
-        axes = (g_ris[:, None, :] - u_ris[None, :, :]) % dims
-        rows = np.ravel_multi_index(tuple(np.moveaxis(axes, -1, 0)), dims)
-        if np.unique(rows[0]).size != len(user_paths):
-            raise StructureViolation(f"user {k}: two paths share one reflector index")
-        values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
-        if not np.all(values):
-            raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
-        block = np.zeros((geometry.n_elements, col_support.size), dtype=complex)
-        block[rows, block_cols] = values
-        blocks.append(ColumnBlock(col_support, block, realization.n_bs))
-        row_patterns.append(np.sort(rows[0]))
+    # every user's paths in one flat list, user-major: path q belongs to user[q]
+    n_users = len(realization.h_paths)
+    counts = np.array([len(user_paths) for user_paths in realization.h_paths], dtype=int)
+    user = np.repeat(np.arange(n_users), counts)
+    paths = [path for user_paths in realization.h_paths for path in user_paths]
+    u_ris = np.array([geometry.to_pair(path.ris_index) for path in paths], dtype=int).reshape(-1, 2)
+    u_gains = np.array([path.gain for path in paths], dtype=complex)
+    # rows[p, q]: flat row of the (BS path p, path q) entry, in column p of user[q]'s block
+    axes = (g_ris[:, None, :] - u_ris[None, :, :]) % dims
+    rows = np.ravel_multi_index(tuple(np.moveaxis(axes, -1, 0)), dims)
+    values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
 
+    # each user's rows of the first column, ascending: equal neighbours share a reflector index
+    order = np.lexsort((rows[0], user))
+    pattern_rows, pattern_users = rows[0][order], user[order]
+    repeated = (np.diff(pattern_users) == 0) & (np.diff(pattern_rows) == 0)
+    shared = np.bincount(pattern_users[1:][repeated], minlength=n_users) > 0
+    empty = np.bincount(user[~np.all(values, axis=0)], minlength=n_users) > 0
+    bad = np.flatnonzero(shared | empty)
+    if bad.size:
+        k = int(bad[0])
+        if shared[k]:
+            raise StructureViolation(f"user {k}: two paths share one reflector index")
+        raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
+
+    channels = np.zeros((n_users, geometry.n_elements, col_support.size), dtype=complex)
+    channels[user, rows, np.arange(col_support.size)[:, None]] = values
     return GroundTruth(
-        blocks=blocks, col_support=col_support, row_patterns=row_patterns, offsets=offsets
+        values=channels,
+        col_support=col_support,
+        row_patterns=np.split(pattern_rows, np.cumsum(counts)[:-1]),
+        offsets=offsets,
+        n_bs=realization.n_bs,
     )
 
 
@@ -192,11 +213,11 @@ def simulate_measurements(
     snr_db: float | None,
     rng: np.random.Generator,
 ) -> MeasurementSet:
-    """Generate Y_k = A @ H_k + W_k for every user.
+    """Generate Y_k = A @ H_k + W_k for every user, as one users x n_pilots x n_bs array.
 
-    The signal is synthesised over each user's occupied columns only (A times
-    the block); the other columns of Y_k are noise alone.  The noise variance
-    is calibrated against the realized signal so that
+    The signal is synthesised over the occupied columns only, as one stacked
+    product of A with truth.values; the other columns of Y_k are noise alone.
+    The noise variance is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
     snr_db; snr_db of None or +inf disables noise.  Any other value must pass
     config.snr_ratio and give a finite variance; ValueError otherwise, raised
@@ -205,22 +226,21 @@ def simulate_measurements(
     """
     noiseless = is_noiseless(snr_db)
     ratio = None if noiseless else snr_ratio(snr_db)
-    a = setup.sensing_matrix
-    signal = [a @ block.values for block in truth.blocks]
-    shape = (a.shape[0], truth.blocks[0].n_bs)
+    signal = setup.sensing_matrix @ truth.values  # users x n_pilots x len(col_support)
+    n_users, n_pilots, _ = signal.shape
+    shape = (n_pilots, truth.n_bs)
     variance = 0.0
-    if not noiseless:
-        mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
+    if noiseless:
+        Y = np.zeros((n_users, *shape), dtype=complex)
+    else:
+        mean_power = float(np.mean(np.sum(np.abs(signal) ** 2, axis=(1, 2))))
         variance = mean_power / (shape[0] * shape[1] * ratio)
         if not math.isfinite(variance):
             raise ValueError(f"noise variance {variance!r} at snr_db={snr_db!r} is not finite")
-    scale = np.sqrt(variance / 2.0)
-    Y = []
-    for block, s in zip(truth.blocks, signal):
-        if noiseless:
-            Y_k = np.zeros(shape, dtype=complex)
-        else:
-            Y_k = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        Y_k[:, block.cols] += s
-        Y.append(Y_k)
+        Y = np.empty((n_users, *shape), dtype=complex)
+        scale = np.sqrt(variance / 2.0)
+        for Y_k in Y:  # one user at a time: the seed contract fixes the draw order
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            np.multiply(scale, noise, out=Y_k)
+    Y[:, :, truth.col_support] += signal
     return MeasurementSet(Y=Y, noise_variance=variance)

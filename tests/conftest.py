@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from risce.config import SystemConfig
-from risce.harness import ESTIMATORS, _aligned, nmse_linear
+from risce.harness import ESTIMATORS, _aligned, _one_blas_thread, nmse_linear
 
 CANONICAL_PILOTS = (32, 128)
 
@@ -33,20 +33,22 @@ def canonical_trials():
     from util import build_trial, structure_digest
 
     out: dict = {}
-    for axis_index, pilots in enumerate(CANONICAL_PILOTS):
-        config = dataclasses.replace(SystemConfig(), n_pilots=pilots)
-        cells: dict = {name: [] for name in config.estimators}
-        for trial in range(config.trials):
-            _, _, truth, _, inp = build_trial(config, trial, axis_index=axis_index)
-            for name in config.estimators:
-                try:
-                    report = ESTIMATORS[name](inp, truth)
-                    record = (
-                        structure_digest(report),
-                        nmse_linear(*_aligned(report.blocks, truth.blocks)),
-                    )
-                except Exception:
-                    record = None
-                cells[name].append(record)
-        out[pilots] = cells
+    # at one OpenBLAS thread, as run_sweep runs its trials; the count is restored after
+    with _one_blas_thread():
+        for axis_index, pilots in enumerate(CANONICAL_PILOTS):
+            config = dataclasses.replace(SystemConfig(), n_pilots=pilots)
+            cells: dict = {name: [] for name in config.estimators}
+            for trial in range(config.trials):
+                _, _, truth, _, inp = build_trial(config, trial, axis_index=axis_index)
+                for name in config.estimators:
+                    try:
+                        report = ESTIMATORS[name](inp, truth)
+                        record = (
+                            structure_digest(report),
+                            nmse_linear(*_aligned(report.blocks, truth.blocks)),
+                        )
+                    except Exception:
+                        record = None
+                    cells[name].append(record)
+            out[pilots] = cells
     return out

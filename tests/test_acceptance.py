@@ -25,7 +25,14 @@ from risce.estimators import (
     estimate_triple_structured,
     joint_column_support,
 )
-from risce.harness import SweepResult, _aggregate, emit_results, run_sweep, trial_rng
+from risce.harness import (
+    SweepResult,
+    _aggregate,
+    _one_blas_thread,
+    emit_results,
+    run_sweep,
+    trial_rng,
+)
 from risce.reference import cascade_spatial, dense_channels
 from util import build_trial, double_sum_cascade, per_user_nmse_db, record
 
@@ -132,26 +139,31 @@ def test_a5_offset_recovery_both_layouts():
         "planar": SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=None),
     }
     counts = {}
-    for label, cfg in scenarios.items():
-        hits = 0
-        for trial in range(100):
-            _, setup, truth, meas, inp = build_trial(cfg, trial_index=trial)
-            cols = joint_column_support(meas.Y, cfg.bs_paths)
-            if not np.array_equal(cols, truth.col_support):
-                continue
-            coarse = [
-                np.column_stack(
-                    [coarse_omp(Y_k[:, c], setup.sensing_matrix, inp.row_counts[k]) for c in cols]
-                )
-                for k, Y_k in enumerate(meas.Y)
-            ]
-            try:
-                offsets = estimate_common_offsets(coarse, cfg.geometry)
-            except OffsetUndetermined:
-                continue
-            if offsets == list(truth.offsets):
-                hits += 1
-        counts[label] = hits
+    # 12,800 lone pursuits, at one OpenBLAS thread as run_sweep's trials run
+    with _one_blas_thread():
+        for label, cfg in scenarios.items():
+            hits = 0
+            for trial in range(100):
+                _, setup, truth, meas, inp = build_trial(cfg, trial_index=trial)
+                cols = joint_column_support(meas.Y, cfg.bs_paths)
+                if not np.array_equal(cols, truth.col_support):
+                    continue
+                coarse = [
+                    np.column_stack(
+                        [
+                            coarse_omp(Y_k[:, c], setup.sensing_matrix, inp.row_counts[k])
+                            for c in cols
+                        ]
+                    )
+                    for k, Y_k in enumerate(meas.Y)
+                ]
+                try:
+                    offsets = estimate_common_offsets(coarse, cfg.geometry)
+                except OffsetUndetermined:
+                    continue
+                if offsets == list(truth.offsets):
+                    hits += 1
+            counts[label] = hits
     ok = all(count >= 99 for count in counts.values())
     record(
         ok,

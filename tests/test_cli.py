@@ -141,6 +141,13 @@ class TestConfigFile:
         assert main(["single", "--config", str(cfg)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_repeated_key_rejected_with_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("pilots = 16\n# a comment\nusers = 4\npilots = 8\n", encoding="utf-8")
+        assert main(["single", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.rstrip() == f"error: {cfg}:4: duplicate key 'pilots' (first at line 1)"
+
     def test_malformed_ue_paths_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("ue_paths = 4\n", encoding="utf-8")

@@ -120,6 +120,20 @@ def test_dense_views_are_the_blocks_zero_filled(case):
         assert_views_match_blocks(report.blocks, report.H_hat)
 
 
+@pytest.mark.parametrize("case", list(CONFIGS))
+def test_blocks_are_views_of_one_user_stack(case):
+    # users are the leading axis of one array for the truth and for every estimate
+    config = CONFIGS[case]
+    _, _, truth, _, inp = build_trial(config, trial_index=5)
+    reports = {"truth": truth.blocks}
+    reports.update({name: ESTIMATORS[name](inp, truth).blocks for name in config.estimators})
+    for name, blocks in reports.items():
+        stack = blocks[0].values.base
+        assert stack.shape == (config.n_users, config.geometry.n_elements, config.bs_paths), name
+        for k, block in enumerate(blocks):
+            assert block.values.base is stack and np.shares_memory(block.values, stack[k]), name
+
+
 @pytest.mark.parametrize("case", ["one-column", "upa-16x16"])
 def test_noiseless_measurements_match_the_dense_product(case):
     # the block product need not be bitwise the full one: with one column

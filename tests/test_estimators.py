@@ -26,7 +26,7 @@ from risce.estimators import (
 )
 from risce.harness import nmse_linear, run_trial
 from risce.numerics import ls_solve
-from risce.sensing import make_sensing_setup
+from risce.sensing import make_sensing_setup, roll_map
 from util import build_trial, check_report, known_shift_scenario, per_user_nmse_db
 
 
@@ -47,7 +47,8 @@ class TestEstimatorInput:
             )
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        message = r"^user 1 measurement shape \(4, 2\) differs from \(4, 3\)$"
+        with pytest.raises(ValueError, match=message):
             EstimatorInput(
                 Y=[np.ones((4, 3)), np.ones((4, 2))],
                 sensing_matrix=np.ones((4, 8)),
@@ -55,6 +56,20 @@ class TestEstimatorInput:
                 row_counts=[1, 1],
                 geometry=ArrayGeometry.ula(8),
             )
+
+    def test_list_of_users_is_stacked_once(self):
+        Y = [np.full((4, 3), k + 1j, dtype=complex) for k in range(2)]
+        inp = EstimatorInput(
+            Y=Y,
+            sensing_matrix=np.ones((4, 8)),
+            n_columns=1,
+            row_counts=[1, 1],
+            geometry=ArrayGeometry.ula(8),
+        )
+        assert inp.Y.shape == (2, 4, 3) and inp.Y.flags.c_contiguous
+        for Y_k, given in zip(inp.Y, Y):
+            npt.assert_array_equal(Y_k, given)
+            assert not np.shares_memory(Y_k, given)
 
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
@@ -584,6 +599,36 @@ class TestOracleLs:
         rows = truth.row_patterns[0]
         expected = np.linalg.lstsq(setup.sensing_matrix[:, rows], meas.Y[0][:, c], rcond=None)[0]
         npt.assert_array_equal(report.H_hat[0][rows, c], expected)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(),
+            SystemConfig(n_pilots=128),
+            SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
+            SystemConfig(n_pilots=2),
+        ],
+        ids=["ula-t32", "ula-t128", "upa-16x16", "rank-deficient-t2"],
+    )
+    def test_matches_one_refit_per_system(self, cfg):
+        # each (user, column) system refit alone, in a batch of one
+        budget_warning = (
+            pytest.warns(RuntimeWarning, match="atom budget")
+            if cfg.n_pilots < cfg.bs_paths * cfg.ue_paths[1]
+            else contextlib.nullcontext()
+        )
+        for trial in range(2):
+            with budget_warning:
+                _, setup, truth, _, inp = build_trial(cfg, trial_index=trial)
+            a = setup.sensing_matrix
+            report = estimate_oracle_ls(inp, truth)
+            for k, pattern in enumerate(truth.row_patterns):
+                expected = np.zeros_like(report.blocks[k].values)
+                for j, (c, offset) in enumerate(zip(truth.col_support, truth.offsets)):
+                    rows = np.sort(roll_map(offset, cfg.geometry)[pattern])
+                    coef, _ = _batched_lstsq(a[:, rows][None], inp.Y[k][:, c][None])
+                    expected[rows, j] = coef[0]
+                assert report.blocks[k].values.tobytes() == expected.tobytes()
 
     def test_structure_fields_copy_truth(self):
         _, _, truth, _, inp = build_trial(SystemConfig())

@@ -155,6 +155,30 @@ class TestCircXcorr2d:
             for j in range(4):
                 npt.assert_array_equal(batch[k, j], circ_xcorr_2d(maps[k, 0], maps[k, j]))
 
+    def test_broadcast_operand_is_transformed_once_per_map(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        maps = rng.standard_normal((3, 4, 16, 16)) + 1j * rng.standard_normal((3, 4, 16, 16))
+        ref = np.broadcast_to(maps[:, :1], maps.shape)
+        expected = circ_xcorr_2d(np.ascontiguousarray(ref), maps)
+        fftn, shapes = np.fft.fftn, []
+
+        def recording(x, *args, **kwargs):
+            shapes.append(x.shape)
+            return fftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fftn", recording)
+        batch = circ_xcorr_2d(ref, maps)
+        assert shapes == [(3, 1, 16, 16), (3, 4, 16, 16)]
+        assert batch.tobytes() == expected.tobytes()
+
+    def test_both_operands_broadcast_along_one_axis(self):
+        rng = np.random.default_rng(10)
+        u, v = rng.standard_normal((2, 3, 1, 8, 4)) + 1j * rng.standard_normal((2, 3, 1, 8, 4))
+        shape = (3, 5, 8, 4)
+        corr = circ_xcorr_2d(np.broadcast_to(u, shape), np.broadcast_to(v, shape))
+        expected = circ_xcorr_2d(np.repeat(u, 5, axis=1), np.repeat(v, 5, axis=1))
+        assert corr.shape == shape and corr.tobytes() == expected.tobytes()
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             circ_xcorr_2d(np.ones((2, 3)), np.ones((3, 2)))

@@ -9,10 +9,10 @@ import pytest
 
 from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
 from risce.config import ArrayGeometry, SystemConfig
+from risce.estimators import EstimatorInput
 from risce.harness import trial_rng
 from risce.reference import beamspace_cascaded, cascade_spatial, dense_channels, dft_matrix
 from risce.sensing import (
-    ColumnBlock,
     GroundTruth,
     StructureViolation,
     extract_ground_truth,
@@ -21,7 +21,7 @@ from risce.sensing import (
     shift_indices,
     simulate_measurements,
 )
-from util import build_trial, known_shift_scenario
+from util import build_trial, known_shift_scenario, per_user_measurements
 
 
 def independent_beamspace(spatial: np.ndarray) -> np.ndarray:
@@ -240,6 +240,39 @@ class TestExtractGroundTruth:
             extract_ground_truth(real, setup)
 
     @pytest.mark.parametrize(
+        "geometry, h_paths, message",
+        [
+            # user 2 repeats an index; user 3 also has a zero gain, but comes later
+            (
+                ArrayGeometry.ula(32),
+                [[(1.0, 3)], [(1.0, 4), (0.5j, 6)], [(1.0, 7), (1.0, 7)], [(0j, 1)]],
+                "user 2: two paths share one reflector index",
+            ),
+            # user 1's zero gain comes before user 3's repeated index
+            (
+                ArrayGeometry.ula(32),
+                [[(1.0, 3)], [(0j, 4), (1.0, 6)], [(1.0, 7)], [(1.0, 9), (2.0, 9)]],
+                "user 1: a zero path gain leaves an entry empty",
+            ),
+            # user 3 has both faults; the repeated index is named first
+            (
+                ArrayGeometry.upa(4, 8),
+                [[(1.0, (0, 1))], [(1.0, (2, 3))], [(1.0, (1, 1))], [(0j, (3, 5)), (1.0, (3, 5))]],
+                "user 3: two paths share one reflector index",
+            ),
+        ],
+        ids=["repeated-index-user-2", "zero-gain-user-1", "planar-both-user-3"],
+    )
+    def test_violation_names_the_first_offending_user(self, geometry, h_paths, message):
+        ris = [(0, 2), (1, 5)] if geometry.is_planar else [2, 9]
+        g_paths = [RisBsPath(1.0 + 0.0j, 5, ris[0]), RisBsPath(1.0 + 0.0j, 7, ris[1])]
+        users = [[UeRisPath(complex(gain), index) for gain, index in user] for user in h_paths]
+        real = ChannelRealization(geometry, 16, g_paths, users)
+        setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
+        with pytest.raises(StructureViolation, match=f"^{message}$"):
+            extract_ground_truth(real, setup)
+
+    @pytest.mark.parametrize(
         "geometry",
         [ArrayGeometry.ula(128), ArrayGeometry.upa(16, 16), ArrayGeometry.upa(8, 16)],
         ids=["ula128", "upa16x16", "upa8x16"],
@@ -284,6 +317,44 @@ class TestSimulateMeasurements:
         for k in range(cfg.n_users):
             npt.assert_array_equal(meas.Y[k], setup.sensing_matrix @ truth.H[k])
 
+    def test_one_stacked_array_shared_by_the_input(self):
+        cfg = SystemConfig(n_pilots=48)
+        _, setup, truth, meas, _ = build_trial(cfg)
+        assert meas.Y.shape == (cfg.n_users, cfg.n_pilots, cfg.n_bs)
+        assert meas.Y.flags.c_contiguous
+        inp = EstimatorInput(
+            Y=meas.Y,
+            sensing_matrix=setup.sensing_matrix,
+            n_columns=cfg.bs_paths,
+            row_counts=[pattern.size for pattern in truth.row_patterns],
+            geometry=cfg.geometry,
+        )
+        assert inp.Y is meas.Y and np.shares_memory(inp.Y, meas.Y)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(),
+            SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
+            SystemConfig(snr_db=None),
+            SystemConfig(n_users=1, snr_db=-5.0),
+        ],
+        ids=["ula128", "upa16x16", "noiseless", "one-user"],
+    )
+    def test_each_user_matches_the_per_user_synthesis(self, cfg):
+        for trial in range(3):
+            rng = trial_rng(cfg.base_seed, 0, trial)
+            real = generate_channels(cfg, rng)
+            setup = make_sensing_setup(cfg.n_bs, cfg.geometry, cfg.n_pilots, rng)
+            truth = extract_ground_truth(real, setup)
+            state = rng.bit_generator.state
+            meas = simulate_measurements(truth, setup, cfg.snr_db, rng)
+            rng.bit_generator.state = state
+            expected = per_user_measurements(truth, setup, cfg.snr_db, rng)
+            assert len(meas.Y) == len(expected) == cfg.n_users
+            for Y_k, reference in zip(meas.Y, expected):
+                assert Y_k.tobytes() == reference.tobytes()
+
     def test_infinite_snr_is_noiseless(self):
         cfg = dataclasses.replace(SystemConfig(), snr_db=float("inf"))
         meas = build_trial(cfg)[3]
@@ -294,10 +365,11 @@ class TestSimulateMeasurements:
         setup = make_sensing_setup(8, geometry, 4, np.random.default_rng(0))
         no_cols = np.zeros(0, dtype=int)
         truth = GroundTruth(
-            blocks=[ColumnBlock(no_cols, np.zeros((16, 0), dtype=complex), 8)],
+            values=np.zeros((1, 16, 0), dtype=complex),
             col_support=no_cols,
             row_patterns=[np.zeros(0, dtype=int)],
             offsets=[0],
+            n_bs=8,
         )
         meas = simulate_measurements(truth, setup, 0.0, np.random.default_rng(1))
         assert meas.noise_variance == 0.0
@@ -336,10 +408,7 @@ class TestSimulateMeasurements:
     def test_overflowing_noise_variance_rejected_before_any_noise_draw(self):
         # -1500 dB is a valid SNR, but against this signal power the variance overflows
         _, setup, truth, _, _ = build_trial(SystemConfig())
-        loud = dataclasses.replace(
-            truth,
-            blocks=[dataclasses.replace(b, values=1e150 * b.values) for b in truth.blocks],
-        )
+        loud = dataclasses.replace(truth, values=1e150 * truth.values)
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="not finite"):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
-from risce.config import ArrayGeometry
+from risce.config import ArrayGeometry, is_noiseless, snr_ratio
 from risce.estimators import EstimatorInput
 from risce.harness import trial_rng
 from risce.sensing import extract_ground_truth, make_sensing_setup, simulate_measurements
@@ -103,6 +103,32 @@ def build_trial(config, trial_index: int = 0, axis_index: int = 0):
         geometry=config.geometry,
     )
     return realization, setup, truth, measurements, inp
+
+
+def per_user_measurements(truth, setup, snr_db, rng) -> list[np.ndarray]:
+    """Y_k = A @ H_k + W_k one user at a time: the reference for the stacked synthesis.
+
+    The same draws and arithmetic as sensing.simulate_measurements, written as
+    a loop over users: one product per user block, the per-user signal energies
+    averaged, then each user's noise drawn and its signal added in user order.
+    """
+    a = setup.sensing_matrix
+    signal = [a @ block.values for block in truth.blocks]
+    shape = (a.shape[0], truth.n_bs)
+    variance = 0.0
+    if not is_noiseless(snr_db):
+        mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
+        variance = mean_power / (shape[0] * shape[1] * snr_ratio(snr_db))
+    Y = []
+    for block, s in zip(truth.blocks, signal):
+        if is_noiseless(snr_db):
+            Y_k = np.zeros(shape, dtype=complex)
+        else:
+            scale = np.sqrt(variance / 2.0)
+            Y_k = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        Y_k[:, block.cols] += s
+        Y.append(Y_k)
+    return Y
 
 
 def block_flatnonzero(block) -> np.ndarray:
