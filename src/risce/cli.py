@@ -10,35 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .config import ArrayGeometry, SystemConfig
 from .harness import emit_results, run_sweep
-
-_CONFIG_KEYS = (
-    "n_bs",
-    "n_ris",
-    "upa",
-    "users",
-    "bs_paths",
-    "ue_paths",
-    "pilots",
-    "snr_db",
-    "noiseless",
-    "trials",
-    "seed",
-    "estimators",
-)
-
-# keys whose values pass to SystemConfig unchanged, with the field each one sets
-_FIELDS = {
-    "n_bs": "n_bs",
-    "users": "n_users",
-    "bs_paths": "bs_paths",
-    "pilots": "n_pilots",
-    "snr_db": "snr_db",
-    "trials": "trials",
-    "seed": "base_seed",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,6 +41,63 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _int_pair(text: str, form: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"must be {form}")
+    return int(parts[0]), int(parts[1])
+
+
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
+class _Option(NamedTuple):
+    """A scenario option: file key `key` and flag `--key-with-dashes` set one SystemConfig field."""
+
+    field: str
+    parse: Callable[[str], object]  # a config-file value -> the value the flag gives
+    flag: dict  # argparse keywords
+    to_field: Callable = lambda value: value  # that value -> the field's value
+
+
+# file-parsing and help order; noiseless comes after snr_db, so that it wins
+_OPTIONS = {
+    "n_bs": _Option("n_bs", int, dict(type=int, help="BS antenna count")),
+    "n_ris": _Option(
+        "geometry",
+        int,
+        dict(type=int, help="reflector element count (linear layout)"),
+        ArrayGeometry.ula,
+    ),
+    "upa": _Option(
+        "geometry",
+        lambda text: _int_pair(text.replace("x", ","), "'N1xN2' or 'N1,N2'"),
+        dict(type=int, nargs=2, metavar=("N1", "N2"), help="planar reflector layout"),
+        lambda pair: ArrayGeometry.upa(*pair),
+    ),
+    "users": _Option("n_users", int, dict(type=int, help="number of single-antenna users")),
+    "bs_paths": _Option("bs_paths", int, dict(type=int, help="reflector-to-BS path count")),
+    "ue_paths": _Option(
+        "ue_paths",
+        lambda text: _int_pair(text, "'MIN,MAX'"),
+        dict(type=int, nargs=2, metavar=("MIN", "MAX"), help="per-user path count range"),
+        tuple,
+    ),
+    "pilots": _Option("n_pilots", int, dict(type=int, help="pilot length")),
+    "snr_db": _Option("snr_db", float, dict(type=float, help="operating SNR in dB")),
+    "noiseless": _Option(
+        "snr_db",
+        lambda text: _parse_bool(text) or None,  # false leaves snr_db alone, as no flag does
+        dict(action="store_true", default=None, help="disable measurement noise"),
+        lambda on: None,
+    ),
+    "trials": _Option("trials", int, dict(type=int, help="Monte Carlo trials per axis point")),
+    "seed": _Option("base_seed", int, dict(type=int, help="base seed for the trial streams")),
+    "estimators": _Option("estimators", str, dict(help="comma-separated estimator names"), _names),
+}
+
+
 def _parse_config_file(path: str) -> dict:
     """Flat `key = value` file; '#' starts a comment.  See the README for the schema.
 
@@ -75,46 +107,26 @@ def _parse_config_file(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    entries: dict = {}
-    first_line: dict = {}
+    entries: dict = {}  # key -> (line number, value)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in entries:
-            raise ValueError(
-                f"{path}:{lineno}: duplicate key {key!r} (first at line {first_line[key]})"
-            )
-        entries[key], first_line[key] = value, lineno
+            first = entries[key][0]
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r} (first at line {first})")
+        entries[key] = lineno, value
     if "n_ris" in entries and "upa" in entries:
         raise ValueError(f"{path}: give either n_ris or upa, not both")
     values: dict = {}
-    for key in _CONFIG_KEYS:
-        if key not in entries:
-            continue
-        value = entries[key]
+    for key in sorted(entries, key=list(_OPTIONS).index):  # the first bad value in table order
         try:
-            if key in ("upa", "ue_paths"):
-                parts = (value.replace("x", ",") if key == "upa" else value).split(",")
-                if len(parts) != 2:
-                    form = "'N1xN2' or 'N1,N2'" if key == "upa" else "'MIN,MAX'"
-                    raise ValueError(f"must be {form}")
-                values[key] = (int(parts[0]), int(parts[1]))
-            elif key == "snr_db":
-                values[key] = float(value)
-            elif key == "noiseless":
-                values[key] = _parse_bool(value)
-            elif key == "estimators":
-                values[key] = value
-            else:
-                values[key] = int(value)
+            values[key] = _OPTIONS[key].parse(entries[key][1])
         except ValueError as exc:
             raise ValueError(f"{path}: {key}: {exc}") from exc
     return values
@@ -122,40 +134,17 @@ def _parse_config_file(path: str) -> dict:
 
 def _config_kwargs(values: dict) -> dict:
     """SystemConfig keyword arguments from flag-keyed values; None or a missing key means unset."""
-    kwargs = {field: values[key] for key, field in _FIELDS.items() if values.get(key) is not None}
-    if values.get("n_ris") is not None:
-        kwargs["geometry"] = ArrayGeometry.ula(values["n_ris"])
-    if values.get("upa") is not None:
-        kwargs["geometry"] = ArrayGeometry.upa(*values["upa"])
-    if values.get("ue_paths") is not None:
-        kwargs["ue_paths"] = tuple(values["ue_paths"])
-    if values.get("noiseless"):
-        kwargs["snr_db"] = None
-    if values.get("estimators") is not None:
-        kwargs["estimators"] = tuple(
-            name.strip() for name in values["estimators"].split(",") if name.strip()
-        )
+    kwargs = {}
+    for key, option in _OPTIONS.items():
+        if values.get(key) is not None:
+            kwargs[option.field] = option.to_field(values[key])
     return kwargs
 
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat key=value config file")
-    parser.add_argument("--n-bs", type=int, help="BS antenna count")
-    parser.add_argument("--n-ris", type=int, help="reflector element count (linear layout)")
-    parser.add_argument(
-        "--upa", type=int, nargs=2, metavar=("N1", "N2"), help="planar reflector layout"
-    )
-    parser.add_argument("--users", type=int, help="number of single-antenna users")
-    parser.add_argument("--bs-paths", type=int, help="reflector-to-BS path count")
-    parser.add_argument(
-        "--ue-paths", type=int, nargs=2, metavar=("MIN", "MAX"), help="per-user path count range"
-    )
-    parser.add_argument("--pilots", type=int, help="pilot length")
-    parser.add_argument("--snr-db", type=float, help="operating SNR in dB")
-    parser.add_argument("--noiseless", action="store_true", help="disable measurement noise")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per axis point")
-    parser.add_argument("--seed", type=int, help="base seed for the trial streams")
-    parser.add_argument("--estimators", help="comma-separated estimator names")
+    for key, option in _OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), **option.flag)
     parser.add_argument("--out", metavar="FILE", help="write results as CSV")
 
 
@@ -178,7 +167,7 @@ def _resolve_config(args: argparse.Namespace) -> SystemConfig:
     kwargs = _config_kwargs(_parse_config_file(args.config)) if args.config else {}
     if args.n_ris is not None and args.upa is not None:
         raise ValueError("give either --n-ris or --upa, not both")
-    kwargs.update(_config_kwargs({key: getattr(args, key) for key in _CONFIG_KEYS}))
+    kwargs.update(_config_kwargs({key: getattr(args, key) for key in _OPTIONS}))
     return SystemConfig(**kwargs)
 
 
@@ -206,12 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "sweep-t":
-        axis, values = "pilot_length", args.values
-    elif args.command == "sweep-snr":
-        axis, values = "snr", args.values
-    else:
-        axis, values = "pilot_length", [config.n_pilots]
+    axis = "snr" if args.command == "sweep-snr" else "pilot_length"
+    values = [config.n_pilots] if args.command == "single" else args.values
     if not values:
         print("error: no axis values given", file=sys.stderr)
         return 1

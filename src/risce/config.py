@@ -121,13 +121,18 @@ class SystemConfig:
         n_i = self.geometry.n_elements
         if self.bs_paths > min(self.n_bs, n_i):
             raise ValueError(f"bs_paths must lie in [1, {min(self.n_bs, n_i)}]")
-        lo, hi = self.ue_paths
+        try:
+            lo, hi = self.ue_paths
+        except (TypeError, ValueError):
+            raise ValueError(f"ue_paths must be a (min, max) pair, got {self.ue_paths!r}") from None
         if not (_is_int(lo) and _is_int(hi)) or not 1 <= lo <= hi <= n_i:
             raise ValueError(f"ue_paths range ({lo}, {hi}) invalid for {n_i} reflector elements")
         if not is_noiseless(self.snr_db):
             if not isinstance(self.snr_db, Real) or isinstance(self.snr_db, bool):
                 raise ValueError(f"snr_db must be a number, +inf or None, got {self.snr_db!r}")
             snr_ratio(self.snr_db)
+        if isinstance(self.estimators, str):
+            raise ValueError(f"estimators must be a sequence of names, got {self.estimators!r}")
         if not self.estimators:
             raise ValueError("at least one estimator must be selected")
         if len(set(self.estimators)) != len(self.estimators):

@@ -10,7 +10,6 @@ squares on the true supports.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,7 +57,7 @@ class EstimatorInput:
     n_columns: int  # shared occupied-column count
     row_counts: list[int]  # per-user nonzero rows per occupied column
     geometry: ArrayGeometry
-    # (user, column) -> that pair's one-column _pursue result; filled by _single_column_fits
+    # (user, column) -> that pair's one-column _pursue result; filled by _per_column_report
     _column_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -357,36 +356,6 @@ def offset_structured_somp(
     return _pursue(a, y_cols[:, None, :], [n_rows], rolls)[0]
 
 
-def _single_column_fits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> list[list[dict]]:
-    """Single-column pursuit results of user k's columns col_sets[k], read from inp's memo.
-
-    Each (user, column) pair is fitted at most once per input: the pairs not
-    yet in the memo run user-major in one batch and are stored there, so
-    estimators that share columns share their fits whatever order they run
-    in.  The results are the memo's own dicts and must not be changed.
-    """
-    fits = inp._column_fits
-    keys = [[(k, int(c)) for c in cols] for k, cols in enumerate(col_sets)]
-    todo = [key for user in keys for key in user if key not in fits]
-    if todo:
-        users, cols = np.array(todo).T
-        ys = inp.Y[users, :, cols]  # one gather: problem x pilot
-        budgets = np.asarray(inp.row_counts)[users]
-        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys.T[:, :, None], budgets)))
-    return [[fits[key] for key in user] for user in keys]
-
-
-def _column_pursuits(inp: EstimatorInput, col_sets: list[np.ndarray]) -> tuple[list, bool]:
-    """Per-user estimates from the single-column fits of columns col_sets[k].
-
-    Also returns whether any of those fits had a rank-deficient refit.
-    """
-    per_user = _single_column_fits(inp, col_sets)
-    rank_flag = any(fit["rank_deficient"] for user in per_user for fit in user)
-    columns = [[fit["columns"][0] for fit in user] for user in per_user]
-    return _assemble(inp, col_sets, columns), rank_flag
-
-
 def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
     """Per-user column blocks from (rows, coef) fits, views of one users x N x C array.
 
@@ -404,35 +373,48 @@ def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
     return [ColumnBlock(cols, block, n_bs) for cols, block in zip(col_sets, values)]
 
 
+def _per_column_report(inp: EstimatorInput, col_sets, col_support, **diagnostics) -> EstimateReport:
+    """Each of user k's columns col_sets[k] recovered alone, by its single-column pursuit.
+
+    The per-column body of both baselines and of the structured estimator's
+    coarse pass.  The pairs not yet in inp's memo are fitted user-major in one
+    batch and stored there.  The diagnostics are the fits' rank flag, then the
+    given ones.
+    """
+    fits = inp._column_fits
+    keys = [[(k, int(c)) for c in cols] for k, cols in enumerate(col_sets)]
+    todo = [key for user in keys for key in user if key not in fits]
+    if todo:
+        users, cols = np.array(todo).T
+        ys = inp.Y[users, :, cols]  # one gather: problem x pilot
+        budgets = np.asarray(inp.row_counts)[users]
+        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys.T[:, :, None], budgets)))
+    blocks = _assemble(inp, col_sets, [[fits[key]["columns"][0] for key in user] for user in keys])
+    rank_flag = any(fits[key]["rank_deficient"] for user in keys for key in user)
+    diagnostics = {"rank_deficient": rank_flag, **diagnostics}
+    return EstimateReport(blocks, col_support, None, None, diagnostics)  # no offsets or patterns
+
+
 def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     """Three-stage structured estimator.
 
     Stage 1 detects the shared column support from summed measurement power.
     Stage 2 runs per-column OMP to obtain coarse columns, from which stage 3
     estimates the shared circular-shift offsets; the final stage re-estimates
-    every user with the offset-coupled joint greedy recovery.  With a single
-    occupied column the offset is zero by definition, so there is no coarse
-    pass, and the joint pass is the shared single-column fit of that column.
+    every user with the offset-coupled joint greedy recovery.
     """
     cols = inp._joint_columns
     col_sets = [cols] * len(inp.Y)
+    coarse = _per_column_report(inp, col_sets, cols)
     diagnostics: dict = {"offset_fallback": []}
-    if inp.n_columns == 1:
-        offsets: list[Offset] = [inp.geometry.to_public((0, 0))]
-        # with one column and a zero offset the joint pass is each user's
-        # single-column pursuit, so it is read from the memo (copied: the
-        # report's arrays are the caller's)
-        fits = [copy.deepcopy(user[0]) for user in _single_column_fits(inp, col_sets)]
-    else:
-        coarse, _ = _column_pursuits(inp, col_sets)
-        try:
-            offsets = estimate_common_offsets([block.values for block in coarse], inp.geometry)
-        except OffsetUndetermined as err:
-            offsets = err.offsets
-            diagnostics["offset_fallback"] = list(err.failed)
-        rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
-        ys = np.swapaxes(inp.Y, 1, 2)[:, cols]  # one gather: user x column x pilot
-        fits = _pursue(inp.sensing_matrix, np.moveaxis(ys, -1, 0), inp.row_counts, rolls)
+    try:
+        offsets = estimate_common_offsets([block.values for block in coarse.blocks], inp.geometry)
+    except OffsetUndetermined as err:
+        offsets = err.offsets
+        diagnostics["offset_fallback"] = list(err.failed)
+    rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
+    ys = np.swapaxes(inp.Y, 1, 2)[:, cols]  # one gather: user x column x pilot
+    fits = _pursue(inp.sensing_matrix, np.moveaxis(ys, -1, 0), inp.row_counts, rolls)
     diagnostics["rank_deficient"] = any(fit["rank_deficient"] for fit in fits)
     diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
     diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
@@ -453,14 +435,7 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     OMP, with no offset coupling between columns.
     """
     cols = inp._joint_columns
-    blocks, rank_flag = _column_pursuits(inp, [cols] * len(inp.Y))
-    return EstimateReport(
-        blocks=blocks,
-        col_support=cols,
-        offsets=None,
-        row_patterns=None,
-        diagnostics={"rank_deficient": rank_flag},
-    )
+    return _per_column_report(inp, [cols] * len(inp.Y), cols)
 
 
 def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
@@ -473,14 +448,7 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     """
     order = np.argsort(-_column_power(inp.Y), axis=1, kind="stable")
     supports = list(np.sort(order[:, : inp.n_columns], axis=1))
-    blocks, rank_flag = _column_pursuits(inp, supports)
-    return EstimateReport(
-        blocks=blocks,
-        col_support=np.unique(supports),
-        offsets=None,
-        row_patterns=None,
-        diagnostics={"rank_deficient": rank_flag, "per_user_col_support": supports},
-    )
+    return _per_column_report(inp, supports, np.unique(supports), per_user_col_support=supports)
 
 
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:

@@ -226,39 +226,42 @@ class SweepResult:
     cells: dict
 
 
-def _aggregate(ratios: list[float], n_failed: int) -> CellStats:
+def _aggregate(ratios: list[float], failures: Counter) -> CellStats:
+    """A cell from its trials' linear NMSEs and its failed trials counted by message."""
     n = len(ratios)
-    if n == 0:
-        return CellStats(mean_db=None, stderr_db=None, n_trials=0, n_failed=n_failed)
-    mean_lin = float(np.mean(ratios))
-    if n >= 2 and mean_lin > 0.0:
-        se_lin = float(np.std(ratios, ddof=1)) / math.sqrt(n)
-        stderr_db = 10.0 / math.log(10.0) * se_lin / mean_lin
-    else:
-        stderr_db = 0.0
-    return CellStats(mean_db=_to_db(mean_lin), stderr_db=stderr_db, n_trials=n, n_failed=n_failed)
+    mean_db = stderr_db = None
+    if n > 0:
+        mean_lin = float(np.mean(ratios))
+        mean_db, stderr_db = _to_db(mean_lin), 0.0
+        if n >= 2 and mean_lin > 0.0:
+            se_lin = float(np.std(ratios, ddof=1)) / math.sqrt(n)
+            stderr_db = 10.0 / math.log(10.0) * se_lin / mean_lin
+    return CellStats(mean_db, stderr_db, n, failures.total(), dict(failures))
 
 
 def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     """Sweep pilot length or SNR, holding everything else fixed.
 
-    Axis values are sorted ascending and deduplicated; each (axis point,
-    trial) pair gets its own seed stream, so results do not depend on the
-    order values are given in.  Every point's configuration is built, and so
-    checked, before the first trial runs.  A cell counts its failed trials by
-    message in CellStats.failure_reasons.  The trials run with OpenBLAS at one
-    thread (see _one_blas_thread); the caller's thread count is restored after.
+    Every value is checked as given (32.7 or True pilots, or an SNR of "5",
+    raise ValueError), then the values are sorted and deduplicated.  Each
+    (axis point, trial) pair gets its own seed stream, so results do not
+    depend on the order values are given in, and every point is checked
+    before the first trial runs.  A cell counts its failed trials by message
+    in CellStats.failure_reasons.  The trials run with OpenBLAS at one thread
+    (see _one_blas_thread); the caller's thread count is restored after.
     """
     if axis == "pilot_length":
-        sorted_values = sorted({int(v) for v in values})
-        point_configs = [replace(config, n_pilots=v) for v in sorted_values]
+        field, kind = "n_pilots", int
     elif axis == "snr":
-        sorted_values = sorted({float(v) for v in values})
-        point_configs = [replace(config, snr_db=v) for v in sorted_values]
+        field, kind = "snr_db", float
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'pilot_length' or 'snr'")
+    for value in values:
+        replace(config, **{field: value})
+    sorted_values = sorted({kind(value) for value in values})
     if not sorted_values:
         raise ValueError("at least one axis value is required")
+    point_configs = [replace(config, **{field: value}) for value in sorted_values]
     cells: dict = {}
     with _one_blas_thread():
         for axis_index, (value, point_config) in enumerate(zip(sorted_values, point_configs)):
@@ -272,8 +275,7 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
                     else:
                         failures[name][result.errors[name]] += 1
             for name in config.estimators:
-                cell = _aggregate(ratios[name], failures[name].total())
-                cells[(value, name)] = replace(cell, failure_reasons=dict(failures[name]))
+                cells[(value, name)] = _aggregate(ratios[name], failures[name])
     return SweepResult(axis=axis, values=sorted_values, estimators=config.estimators, cells=cells)
 
 

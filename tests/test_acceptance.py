@@ -10,6 +10,7 @@ twice that length, and only prints the 128-pilot gaps.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def canonical(canonical_trials):
     cells = {
         (pilots, name): _aggregate(
             [record[1] for record in records if record is not None],
-            sum(record is None for record in records),
+            Counter("estimator raised" for record in records if record is None),
         )
         for pilots, per_estimator in canonical_trials.items()
         for name, records in per_estimator.items()

@@ -73,6 +73,18 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             SystemConfig(estimators=("oracle_ls", "oracle_ls"))
 
+    def test_estimator_string_rejected_as_such(self):
+        # a string is a sequence of letters, and "oracle_ls" repeats some of them
+        with pytest.raises(ValueError) as info:
+            SystemConfig(estimators="oracle_ls")
+        assert str(info.value) == "estimators must be a sequence of names, got 'oracle_ls'"
+
+    @pytest.mark.parametrize("ue_paths", [(1, 2, 3), (4,), 4, None])
+    def test_ue_paths_must_be_a_pair(self, ue_paths):
+        with pytest.raises(ValueError) as info:
+            SystemConfig(ue_paths=ue_paths)
+        assert str(info.value) == f"ue_paths must be a (min, max) pair, got {ue_paths!r}"
+
 
 class TestArrayGeometry:
     def test_bool_dimension_rejected(self):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +194,7 @@ class TestRunSweep:
                 for name in cfg.estimators:
                     ratios[name].append(out.nmse_lin[name])
             for name in cfg.estimators:
-                expected = harness._aggregate(ratios[name], 0)
+                expected = harness._aggregate(ratios[name], Counter())
                 assert result.cells[(pilots, name)] == expected
 
     def test_value_order_and_duplicates_are_irrelevant(self):
@@ -230,6 +231,25 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "run_trial", no_trials)
         with pytest.raises(ValueError, match="snr_db"):
             run_sweep(small_config(), "snr", [0.0, bad])
+
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("pilot_length", [32.7, True], "n_pilots must be a positive integer, got 32.7"),
+            ("pilot_length", [16, True], "n_pilots must be a positive integer, got True"),
+            ("pilot_length", [16.0], "n_pilots must be a positive integer, got 16.0"),
+            ("snr", [0.0, "5"], "snr_db must be a number, +inf or None, got '5'"),
+        ],
+    )
+    def test_axis_values_checked_as_given(self, axis, values, message, monkeypatch):
+        # int() and float() would turn these into 32, 1, 16 and 5.0 and label the rows so
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        with pytest.raises(ValueError) as info:
+            run_sweep(small_config(), axis, values)
+        assert str(info.value) == message
 
     def test_lowest_accepted_snr_gives_finite_cells(self):
         # 8 pilots gave the largest NMSE per unit noise of the scenarios measured
