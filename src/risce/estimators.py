@@ -42,11 +42,11 @@ __all__ = [
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
 
-    Y is kept as given when it is one array; a list of per-user arrays is
-    shape-checked and stacked once.  The input also memoises what several
-    estimators compute from it alone: the joint column support, and the
-    single-column pursuits.  The fit of user k's column c depends only on
-    (Y[k][:, c], sensing_matrix, row_counts[k]), so every estimator given the
+    Y must be one users x n_pilots x n_bs ndarray, and is kept as given, with
+    no copy; anything else raises ValueError.  The input also memoises what
+    several estimators compute from it alone: the joint column support, and
+    the single-column pursuits.  The fit of user k's column c depends only on
+    (Y[k, :, c], sensing_matrix, row_counts[k]), so every estimator given the
     same input reads one shared fit per (user, column) pair instead of fitting
     it again.  The fields must not be changed once an estimator has run on the
     input.
@@ -61,18 +61,8 @@ class EstimatorInput:
     _column_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.Y) == 0:
-            raise ValueError("at least one user measurement is required")
-        if np.ndim(self.Y[0]) != 2:
-            raise ValueError("measurements must be 2-D arrays")
-        if not isinstance(self.Y, np.ndarray):
-            shape = np.shape(self.Y[0])
-            for k, Y_k in enumerate(self.Y):
-                if np.shape(Y_k) != shape:
-                    raise ValueError(
-                        f"user {k} measurement shape {np.shape(Y_k)} differs from {shape}"
-                    )
-            self.Y = np.stack(self.Y)
+        if not isinstance(self.Y, np.ndarray) or self.Y.ndim != 3 or len(self.Y) == 0:
+            raise ValueError("measurements must be one users x n_pilots x n_bs array, users >= 1")
         _, n_pilots, n_bs = self.Y.shape
         if self.sensing_matrix.ndim != 2 or self.sensing_matrix.shape[0] != n_pilots:
             raise ValueError("sensing matrix row count must match the pilot length")
@@ -146,7 +136,7 @@ def joint_column_support(Y, n_columns: int) -> np.ndarray:
 
     The diagonal equals the per-column measurement power summed over users, in
     user order, so the shared support is the top-n_columns entries (ascending
-    index order).  Y is a users x n_pilots x n_bs stack or a list of its slices.
+    index order).  Y is a users x n_pilots x n_bs stack, as EstimatorInput.Y.
     """
     return top_l_indices(_column_power(Y).sum(axis=0), n_columns)
 
@@ -213,30 +203,30 @@ def _batched_lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
 def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     """Greedy pursuit of B problems in lockstep against one dictionary a (T x N).
 
-    Problem b fits the C columns Y[:, b, :] (Y is T x B x C) with one anchor
-    set; column c uses rows rolls[c][anchors] (the anchors themselves when
-    rolls is None).  Each step takes one a^H @ R product over the active
-    problems, scores every unused anchor by its correlation power summed over
-    the columns at its rolled rows, and picks the first maximum per problem.
-    It then refits every (problem, column) on its sorted rows with one
-    _batched_lstsq call, a batched Gram solve with at most k + 1 unknowns at
-    step k, so no incremental factorisation is kept between steps.  The oracle
-    refits through the same function, and a refit depends only on its own
-    system, so a pursuit that ends on the true rows returns the oracle's
-    coefficients bitwise.  Problem b stops after budgets[b] anchors, or when
-    its best score is not positive (a zero residual).  Returns one
+    Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
+    working layout) with one anchor set; column c uses rows rolls[c][anchors]
+    (the anchors themselves when rolls is None).  Each step takes one a^H @ R
+    product over the active problems, scores every unused anchor by its
+    correlation power summed over the columns at its rolled rows, and picks the
+    first maximum per problem.  It then refits every (problem, column) on its
+    sorted rows with one _batched_lstsq call, a batched Gram solve with at most
+    k + 1 unknowns at step k, so no incremental factorisation is kept between
+    steps.  The oracle refits through the same function, and a refit depends
+    only on its own system, so a pursuit that ends on the true rows returns the
+    oracle's coefficients bitwise.  Problem b stops after budgets[b] anchors,
+    or when its best score is not positive (a zero residual).  Returns one
     offset_structured_somp result per problem; its arrays are views of arrays
     this call made, shared by no other call.
     """
     t, n = a.shape
-    _, n_prob, n_cols = Y.shape
+    n_prob, n_cols, _ = Y.shape
     if rolls is None:
         rolls = np.broadcast_to(np.arange(n), (n_cols, n))
     budgets = np.asarray(budgets, dtype=int)
     kmax = int(budgets.max(initial=0))
     atoms = np.ascontiguousarray(a.T)
     atoms_h = atoms.conj()
-    ys = np.ascontiguousarray(np.moveaxis(Y, 0, -1), dtype=complex)  # B x C x T
+    ys = np.ascontiguousarray(Y, dtype=complex)
     resid = ys.copy()
     rows = np.zeros((n_prob, n_cols, kmax), dtype=int)
     coef = np.zeros((n_prob, n_cols, kmax), dtype=complex)
@@ -295,7 +285,7 @@ def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
         raise ValueError(f"incompatible shapes {a.shape} and {y.shape}")
     if sparsity < 0:
         raise ValueError("sparsity must be non-negative")
-    fit = _pursue(a, y[:, None, None], [sparsity])[0]
+    fit = _pursue(a, y[None, None], [sparsity])[0]
     rows, coef = fit["columns"][0]
     out = np.zeros(a.shape[1], dtype=complex)
     out[rows] = coef
@@ -353,7 +343,7 @@ def offset_structured_somp(
     if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
     rolls = np.stack([roll_map(offset, geometry) for offset in offsets])
-    return _pursue(a, y_cols[:, None, :], [n_rows], rolls)[0]
+    return _pursue(a, y_cols.T[None], [n_rows], rolls)[0]
 
 
 def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
@@ -388,7 +378,7 @@ def _per_column_report(inp: EstimatorInput, col_sets, col_support, **diagnostics
         users, cols = np.array(todo).T
         ys = inp.Y[users, :, cols]  # one gather: problem x pilot
         budgets = np.asarray(inp.row_counts)[users]
-        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys.T[:, :, None], budgets)))
+        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys[:, None], budgets)))
     blocks = _assemble(inp, col_sets, [[fits[key]["columns"][0] for key in user] for user in keys])
     rank_flag = any(fits[key]["rank_deficient"] for user in keys for key in user)
     diagnostics = {"rank_deficient": rank_flag, **diagnostics}
@@ -413,8 +403,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
         offsets = err.offsets
         diagnostics["offset_fallback"] = list(err.failed)
     rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
-    ys = np.swapaxes(inp.Y, 1, 2)[:, cols]  # one gather: user x column x pilot
-    fits = _pursue(inp.sensing_matrix, np.moveaxis(ys, -1, 0), inp.row_counts, rolls)
+    fits = _pursue(inp.sensing_matrix, np.swapaxes(inp.Y, 1, 2)[:, cols], inp.row_counts, rolls)
     diagnostics["rank_deficient"] = any(fit["rank_deficient"] for fit in fits)
     diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
     diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
@@ -443,11 +432,11 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
 
     Each user keeps its own top-power columns (the same count as the shared
     support) and recovers each retained column independently, so the total
-    atom budget per user is n_columns * row_count.  The pruning is one stable
-    argsort of every user's column powers, ties to the smallest index.
+    atom budget per user is n_columns * row_count.  The pruning is one
+    top_l_indices call over every user's column powers, ties to the smallest
+    index, as in the joint detection.
     """
-    order = np.argsort(-_column_power(inp.Y), axis=1, kind="stable")
-    supports = list(np.sort(order[:, : inp.n_columns], axis=1))
+    supports = list(top_l_indices(_column_power(inp.Y), inp.n_columns))
     return _per_column_report(inp, supports, np.unique(supports), per_user_col_support=supports)
 
 

@@ -243,7 +243,8 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     """Sweep pilot length or SNR, holding everything else fixed.
 
     Every value is checked as given (32.7 or True pilots, or an SNR of "5",
-    raise ValueError), then the values are sorted and deduplicated.  Each
+    raise ValueError), then the values are sorted and deduplicated.  On the
+    SNR axis None is the noiseless point, the same as +inf, and is kept as inf.  Each
     (axis point, trial) pair gets its own seed stream, so results do not
     depend on the order values are given in, and every point is checked
     before the first trial runs.  A cell counts its failed trials by message
@@ -253,7 +254,7 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
     if axis == "pilot_length":
         field, kind = "n_pilots", int
     elif axis == "snr":
-        field, kind = "snr_db", float
+        field, kind = "snr_db", lambda value: math.inf if value is None else float(value)
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'pilot_length' or 'snr'")
     for value in values:

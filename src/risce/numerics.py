@@ -82,14 +82,15 @@ def ls_solve(a_sub: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def top_l_indices(values: np.ndarray, l: int) -> np.ndarray:
-    """Indices of the l largest entries, ties to the smallest index, returned ascending."""
+    """Indices of the l largest entries along the last axis, ties to the smallest index, ascending.
+
+    Any leading axes index a batch of score vectors, each selected on its own.
+    """
     values = np.asarray(values)
-    if values.ndim != 1:
-        raise ValueError("expected a vector of scores")
-    if not 1 <= l <= values.size:
-        raise ValueError(f"selection size {l} out of range for {values.size} values")
-    order = np.argsort(-values, kind="stable")
-    return np.sort(order[:l])
+    if values.ndim == 0 or not 1 <= l <= values.shape[-1]:
+        raise ValueError(f"selection size {l} out of range for scores of shape {values.shape}")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    return np.sort(order[..., :l], axis=-1)
 
 
 def signed_shift(index: int, period: int) -> int:

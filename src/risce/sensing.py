@@ -115,9 +115,11 @@ def make_sensing_setup(
     """Draw a phase schedule and build the sensing matrix for one trial."""
     # n_bs is unused; it stays because perfbench/kernels.py calls this positionally
     phases = generate_phase_schedule(geometry.n_elements, n_pilots, rng)
-    # one 2-D inverse FFT per pilot over the (n1, n2) element grid
+    # one 2-D inverse FFT per pilot over the (n1, n2) element grid; the transform
+    # along a length-1 axis is the identity, so only longer axes are transformed
     grid = phases.conj().T.reshape(n_pilots, geometry.n1, geometry.n2)
-    sensing_matrix = np.fft.ifft2(grid, norm="ortho").reshape(n_pilots, geometry.n_elements)
+    axes = tuple(axis for axis in (1, 2) if grid.shape[axis] > 1)
+    sensing_matrix = np.fft.ifftn(grid, axes=axes, norm="ortho").reshape(n_pilots, -1)
     # the FFT returns A column-major; keep the row-major layout the estimators were measured with
     return SensingSetup(
         phases=phases, sensing_matrix=np.ascontiguousarray(sensing_matrix), geometry=geometry
@@ -240,7 +242,7 @@ def simulate_measurements(
         Y = np.empty((n_users, *shape), dtype=complex)
         scale = np.sqrt(variance / 2.0)
         for Y_k in Y:  # one user at a time: the seed contract fixes the draw order
-            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            np.multiply(scale, noise, out=Y_k)
+            np.multiply(scale, rng.standard_normal(shape), out=Y_k.real)
+            np.multiply(scale, rng.standard_normal(shape), out=Y_k.imag)
     Y[:, :, truth.col_support] += signal
     return MeasurementSet(Y=Y, noise_variance=variance)

@@ -1,12 +1,14 @@
-"""README's option lists match the command line: the flag table and the config-file keys."""
+"""README matches the code and results/: flags, config keys, package layout, pilot overhead."""
 
 import argparse
 import re
 from pathlib import Path
 
 from risce.cli import _OPTIONS, build_parser
+from risce.harness import load_results
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _section(start: str, end: str) -> str:
@@ -45,3 +47,35 @@ def test_flag_table_lists_exactly_the_parser_flags():
 def test_config_key_list_names_exactly_the_option_table():
     text = _section("Keys:", "Command-line flags override")
     assert set(re.findall(r"`([a-z][a-z0-9_]*)`", text)) == set(_OPTIONS)
+
+
+def test_package_layout_names_exactly_the_modules():
+    block = _section("## Package layout", "tests/")
+    listed = re.findall(r"^  ([a-z_]+)\.py ", block, flags=re.MULTILINE)
+    modules = {path.stem for path in (ROOT / "src" / "risce").glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
+
+
+def test_pilot_overhead_table_matches_the_committed_sweeps():
+    files = {
+        "ULA 128": "nmse_vs_pilots_ula128.csv",
+        "UPA 16x16": "nmse_vs_pilots_upa16x16.csv",
+    }
+    table = _section("| reflector |", "\n")
+    header, _, *lines = table.strip().splitlines()
+    estimators = [cell.strip() for cell in header.strip("|").split("|")[2:]]
+    readme = {}
+    for line in lines:
+        reflector, threshold, *pilots = [cell.strip() for cell in line.strip("|").split("|")]
+        readme[(reflector, float(threshold.removesuffix(" dB")))] = dict(zip(estimators, pilots))
+    expected = {}
+    for reflector, name in files.items():
+        rows = load_results(ROOT / "results" / name)  # ascending pilot length
+        assert {row["trials"] for row in rows} == {100}
+        for threshold in (-15.0, -20.0):
+            reached = [row for row in rows if row["nmse_db"] <= threshold]
+            expected[(reflector, threshold)] = {
+                estimator: str(min(row["axis"] for row in reached if row["estimator"] == estimator))
+                for estimator in estimators
+            }
+    assert readme == expected

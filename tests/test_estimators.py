@@ -46,35 +46,31 @@ class TestEstimatorInput:
                 geometry=ArrayGeometry.ula(8),
             )
 
-    def test_rejects_shape_mismatch(self):
-        message = r"^user 1 measurement shape \(4, 2\) differs from \(4, 3\)$"
+    @pytest.mark.parametrize(
+        "Y",
+        [
+            [np.ones((4, 3)), np.ones((4, 3))],
+            [np.ones((4, 3)), np.ones((4, 2))],
+            np.ones((4, 3)),
+            np.ones((2, 4, 3, 1)),
+        ],
+        ids=["list", "ragged-list", "2-d", "4-d"],
+    )
+    def test_rejects_anything_but_one_users_stack(self, Y):
+        message = r"^measurements must be one users x n_pilots x n_bs array, users >= 1$"
         with pytest.raises(ValueError, match=message):
             EstimatorInput(
-                Y=[np.ones((4, 3)), np.ones((4, 2))],
+                Y=Y,
                 sensing_matrix=np.ones((4, 8)),
                 n_columns=1,
                 row_counts=[1, 1],
                 geometry=ArrayGeometry.ula(8),
             )
 
-    def test_list_of_users_is_stacked_once(self):
-        Y = [np.full((4, 3), k + 1j, dtype=complex) for k in range(2)]
-        inp = EstimatorInput(
-            Y=Y,
-            sensing_matrix=np.ones((4, 8)),
-            n_columns=1,
-            row_counts=[1, 1],
-            geometry=ArrayGeometry.ula(8),
-        )
-        assert inp.Y.shape == (2, 4, 3) and inp.Y.flags.c_contiguous
-        for Y_k, given in zip(inp.Y, Y):
-            npt.assert_array_equal(Y_k, given)
-            assert not np.shares_memory(Y_k, given)
-
     def test_rejects_bad_budgets(self):
         with pytest.raises(ValueError):
             EstimatorInput(
-                Y=[np.ones((4, 3))],
+                Y=np.ones((1, 4, 3)),
                 sensing_matrix=np.ones((4, 8)),
                 n_columns=4,
                 row_counts=[1],
@@ -84,7 +80,7 @@ class TestEstimatorInput:
     def test_warns_when_budget_exceeds_pilots(self):
         with pytest.warns(RuntimeWarning):
             EstimatorInput(
-                Y=[np.ones((4, 6))],
+                Y=np.ones((1, 4, 6)),
                 sensing_matrix=np.ones((4, 8)),
                 n_columns=3,
                 row_counts=[2],
@@ -311,23 +307,23 @@ class TestPursuitKernel:
         # atoms 4 and 5 duplicate atoms 1 and 2 exactly, so every score ties
         a = np.eye(4, 6, dtype=complex)
         a[:, 4], a[:, 5] = a[:, 1], a[:, 2]
-        Y = np.zeros((4, 3, 1), dtype=complex)
-        Y[[1, 3], 0, 0] = [2.0, 1.0]
-        Y[2, 1, 0] = 1.0j
-        Y[[1, 2], 2, 0] = [1.0, 1.0]
+        Y = np.zeros((3, 1, 4), dtype=complex)
+        Y[0, 0, [1, 3]] = [2.0, 1.0]
+        Y[1, 0, 2] = 1.0j
+        Y[2, 0, [1, 2]] = [1.0, 1.0]
         fits = _pursue(a, Y, [2, 2, 2])
         assert [self.support(fit) for fit in fits] == [[1, 3], [2], [1, 2]]
         for b, fit in enumerate(fits):
-            assert self.support(fit) == np.flatnonzero(coarse_omp(Y[:, b, 0], a, 2)).tolist()
+            assert self.support(fit) == np.flatnonzero(coarse_omp(Y[b, 0], a, 2)).tolist()
 
     def test_rank_deficient_support_falls_back_to_minimum_norm(self):
         # column 1 is shifted by one row, so anchors {0, 2} select its rows
         # {1, 3}, and atom 3 duplicates atom 1: that column's system is singular
         a = np.eye(4, dtype=complex)
         a[:, 3] = a[:, 1]
-        Y = np.zeros((4, 3, 2), dtype=complex)
-        Y[[0, 2], 0, 0], Y[1, 0, 1] = [4.0, 2.0], 1.0
-        Y[[1, 2], 1, 0] = [2.0, 3.0]  # anchors {1, 2}: rows {2, 3}, full rank
+        Y = np.zeros((3, 2, 4), dtype=complex)
+        Y[0, 0, [0, 2]], Y[0, 1, 1] = [4.0, 2.0], 1.0
+        Y[1, 0, [1, 2]] = [2.0, 3.0]  # anchors {1, 2}: rows {2, 3}, full rank
         rolls = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
         fits = _pursue(a, Y, [2, 2, 2], rolls)
         deficient = fits[0]
@@ -335,7 +331,7 @@ class TestPursuitKernel:
         assert deficient["rank_deficient"]
         rows, coef = deficient["columns"][1]
         assert rows.tolist() == [1, 3]
-        npt.assert_array_equal(coef, np.linalg.lstsq(a[:, rows], Y[:, 0, 1], rcond=None)[0])
+        npt.assert_array_equal(coef, np.linalg.lstsq(a[:, rows], Y[0, 1], rcond=None)[0])
         assert fits[1]["anchors"].tolist() == [1, 2]
         assert not fits[1]["rank_deficient"]
         assert not fits[2]["rank_deficient"] and fits[2]["anchors"].size == 0
@@ -343,9 +339,9 @@ class TestPursuitKernel:
     def test_zero_input_next_to_live_problems(self):
         rng = np.random.default_rng(7)
         a = unit_column_dictionary(rng, 16, 32)
-        Y = np.zeros((16, 3, 1), dtype=complex)
-        Y[:, 0, 0] = a[:, 3] - 2.0 * a[:, 17]
-        Y[:, 2, 0] = 0.5j * a[:, 9]
+        Y = np.zeros((3, 1, 16), dtype=complex)
+        Y[0, 0] = a[:, 3] - 2.0 * a[:, 17]
+        Y[2, 0] = 0.5j * a[:, 9]
         fits = _pursue(a, Y, [4, 4, 4])
         assert fits[1]["anchors"].size == 0
         assert fits[1]["columns"][0][0].size == 0
@@ -358,11 +354,12 @@ class TestPursuitKernel:
         a = unit_column_dictionary(rng, 32, 64)
         budgets = [4, 5, 6, 7, 8]
         Y = rng.standard_normal((32, 5, 1)) + 1j * rng.standard_normal((32, 5, 1))
+        Y = np.moveaxis(Y, 0, -1)  # B x C x T, the draws of the T x B x C layout
         fits = _pursue(a, Y, budgets)
         for b, (fit, budget) in enumerate(zip(fits, budgets)):
             assert fit["anchors"].size == budget
             assert fit["residual_history"].shape == (budget, 1)
-            single = coarse_omp(Y[:, b, 0], a, budget)
+            single = coarse_omp(Y[b, 0], a, budget)
             rows, coef = fit["columns"][0]
             npt.assert_array_equal(rows, np.flatnonzero(single))
             npt.assert_allclose(coef, single[rows], rtol=0, atol=1e-12)
@@ -375,7 +372,8 @@ class TestPursuitKernel:
         a = unit_column_dictionary(rng, 16, 8)
         rolls = np.array([np.arange(8), [1, 2, 3, 4, 5, 3, 6, 7]])
         Y = rng.standard_normal((16, 4, 2)) + 1j * rng.standard_normal((16, 4, 2))
-        Y[:, 2, 0], Y[:, 2, 1] = a[:, 0], a[:, 1]
+        Y = np.moveaxis(Y, 0, -1)  # B x C x T, the draws of the T x B x C layout
+        Y[2, 0], Y[2, 1] = a[:, 0], a[:, 1]
         fits = _pursue(a, Y, [8, 3, 1, 0], rolls)
         assert self.support(fits[2]) == [0]
         for fit in fits:
@@ -719,7 +717,7 @@ class TestSharedColumnFits:
         calls = []  # (problems, columns per problem) of every _pursue batch
 
         def counting(a, Y, *args):
-            calls.append(Y.shape[1:])
+            calls.append(Y.shape[:2])
             return _pursue(a, Y, *args)
 
         monkeypatch.setattr(estimators, "_pursue", counting)
@@ -757,13 +755,13 @@ class TestSharedColumnFits:
         npt.assert_array_equal(row.col_support, expected)
         assert not triple.col_support.flags.writeable
 
-    def test_one_column_joint_pass_reads_the_memo(self):
+    def test_one_column_joint_pass_equals_the_memo_fit(self):
         cfg = SystemConfig(bs_paths=1)
         for trial in range(3):
             _, _, _, _, inp = build_trial(cfg, trial_index=trial)
             col = joint_column_support(inp.Y, 1)[0]
             rolls = np.arange(inp.geometry.n_elements)[None, :]
-            Y = np.stack([Y_k[:, [col]] for Y_k in inp.Y], axis=1)
+            Y = np.swapaxes(inp.Y[:, :, [col]], 1, 2)  # users x 1 x pilots
             joint = _pursue(inp.sensing_matrix, Y, inp.row_counts, rolls)
             triple = estimate_triple_structured(inp)
             # the report's arrays are copies: changing them leaves the memo intact

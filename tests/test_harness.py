@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,19 @@ class TestRunSweep:
         for value in result.values:
             for name in cfg.estimators:
                 assert result.cells[(value, name)].n_trials == cfg.trials
+
+    def test_none_on_the_snr_axis_is_the_noiseless_inf_point(self, tmp_path):
+        cfg = small_config(trials=2)
+        result = run_sweep(cfg, "snr", [None, 0.0])
+        assert result.values == [0.0, math.inf]
+        assert result == run_sweep(cfg, "snr", [0.0, math.inf])
+        assert run_sweep(cfg, "snr", [None, math.inf]).values == [math.inf]
+        path = tmp_path / "snr.csv"
+        emit_results(result, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        axis = [line.split(",")[0] for line in lines]
+        assert axis == ["0.0"] * len(cfg.estimators) + ["inf"] * len(cfg.estimators)
+        assert [row["axis"] for row in load_results(path)] == [float(text) for text in axis]
 
     def test_error_drops_with_pilot_length(self):
         cfg = small_config(trials=10)

@@ -292,9 +292,21 @@ class TestTopLIndices:
         expected = sorted(sorted(range(128), key=lambda i: (-values[i], i))[:4])
         npt.assert_array_equal(top_l_indices(values, 4), expected)
 
+    def test_selects_along_the_last_axis(self):
+        rng = np.random.default_rng(12)
+        values = rng.integers(0, 4, size=(2, 5, 9)).astype(float)  # many ties
+        picked = top_l_indices(values, 3)
+        assert picked.shape == (2, 5, 3)
+        for index in np.ndindex(values.shape[:-1]):
+            npt.assert_array_equal(picked[index], top_l_indices(values[index], 3))
+
     def test_selection_size_out_of_range(self):
         with pytest.raises(ValueError):
             top_l_indices(np.ones(3), 4)
+        with pytest.raises(ValueError):
+            top_l_indices(np.ones((3, 2)), 3)
+        with pytest.raises(ValueError):
+            top_l_indices(np.float64(1.0), 1)
         with pytest.raises(ValueError):
             top_l_indices(np.ones(3), 0)
 
