@@ -8,6 +8,7 @@ configuration, 2 every cell failed at runtime.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -148,14 +149,19 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="FILE", help="write results as CSV")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing leaves it unchanged.
+
+    The default axis values are tuples, so no call can change another's defaults.
+    """
     parser = _Parser(prog="risce", description=__doc__)
     subparsers = parser.add_subparsers(dest="command", required=True)
     sweep_t = subparsers.add_parser("sweep-t", help="sweep the pilot length")
-    sweep_t.add_argument("--values", type=_csv_ints, default=[16, 32, 64, 128])
+    sweep_t.add_argument("--values", type=_csv_ints, default=(16, 32, 64, 128))
     _add_common_options(sweep_t)
     sweep_snr = subparsers.add_parser("sweep-snr", help="sweep the SNR")
-    sweep_snr.add_argument("--values", type=_csv_floats, default=[-10.0, -5.0, 0.0, 5.0, 10.0])
+    sweep_snr.add_argument("--values", type=_csv_floats, default=(-10.0, -5.0, 0.0, 5.0, 10.0))
     _add_common_options(sweep_snr)
     single = subparsers.add_parser("single", help="run one configuration point")
     _add_common_options(single)

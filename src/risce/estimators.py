@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,14 +39,42 @@ __all__ = [
 ]
 
 
+class _Atoms:
+    """A T x N dictionary's atoms as the rows of one N x T array, and their conjugates.
+
+    The conjugates are computed on first use: the oracle reads only the rows.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.rows = np.ascontiguousarray(a.T)
+
+    @cached_property
+    def conj(self) -> np.ndarray:
+        return self.rows.conj()
+
+
+class _ColumnFits(NamedTuple):
+    """One input's single-column pursuits, indexed [user, column]; done marks the fitted pairs.
+
+    rows and coef hold a fit's count entries first, zeros after.
+    """
+
+    done: np.ndarray  # users x n_bs
+    rows: np.ndarray  # users x n_bs x largest row budget
+    coef: np.ndarray  # users x n_bs x largest row budget
+    count: np.ndarray  # users x n_bs
+    deficient: np.ndarray  # users x n_bs: the fit's rank flag
+
+
 @dataclass
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
 
     Y must be one users x n_pilots x n_bs ndarray, and is kept as given, with
-    no copy; anything else raises ValueError.  The input also memoises what
-    several estimators compute from it alone: the joint column support, and
-    the single-column pursuits.  The fit of user k's column c depends only on
+    no copy; anything else raises ValueError.  The input also computes, once,
+    what several estimators read from it alone: the sensing matrix's atoms,
+    the per-user column power, the joint column support, and the
+    single-column pursuits.  The fit of user k's column c depends only on
     (Y[k, :, c], sensing_matrix, row_counts[k]), so every estimator given the
     same input reads one shared fit per (user, column) pair instead of fitting
     it again.  The fields must not be changed once an estimator has run on the
@@ -57,8 +86,6 @@ class EstimatorInput:
     n_columns: int  # shared occupied-column count
     row_counts: list[int]  # per-user nonzero rows per occupied column
     geometry: ArrayGeometry
-    # (user, column) -> that pair's one-column _pursue result; filled by _per_column_report
-    _column_fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.Y, np.ndarray) or self.Y.ndim != 3 or len(self.Y) == 0:
@@ -80,15 +107,37 @@ class EstimatorInput:
                 f"total atom budget {self.n_columns * max(self.row_counts)} exceeds the "
                 f"pilot length {n_pilots}; recovery may be unreliable",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the code that built the input
             )
 
     @cached_property
+    def _atoms(self) -> _Atoms:
+        """The sensing matrix's atoms, read by every pursuit and by the oracle."""
+        return _Atoms(self.sensing_matrix)
+
+    @cached_property
+    def _power(self) -> np.ndarray:
+        """_column_power(Y): users x n_bs, read by both column detectors."""
+        return _column_power(self.Y)
+
+    @cached_property
     def _joint_columns(self) -> np.ndarray:
-        """joint_column_support(Y, n_columns), computed once and read-only: estimates share it."""
-        cols = joint_column_support(self.Y, self.n_columns)
+        """joint_column_support(Y, n_columns), from the shared power; read-only: estimates share it."""
+        cols = top_l_indices(self._power.sum(axis=0), self.n_columns)
         cols.flags.writeable = False
         return cols
+
+    @cached_property
+    def _column_fits(self) -> _ColumnFits:
+        """The memo of single-column pursuits, empty until _per_column_report fills it."""
+        pairs, budget = (len(self.Y), self.Y.shape[2]), max(self.row_counts)
+        return _ColumnFits(
+            np.zeros(pairs, dtype=bool),
+            np.zeros((*pairs, budget), dtype=int),
+            np.zeros((*pairs, budget), dtype=complex),
+            np.zeros(pairs, dtype=int),
+            np.zeros(pairs, dtype=bool),
+        )
 
 
 @dataclass
@@ -167,25 +216,26 @@ def _cholesky_each(gram: np.ndarray) -> np.ndarray:
         return chol
 
 
-def _batched_lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares for a stack of systems subs[i] @ x ~= ys[i]; returns (x, rank_deficient).
+def _batched_lstsq(atoms: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares for a stack of systems S_i x ~= ys[i]; returns (x, rank_deficient).
 
-    Each system S x ~= y is solved from its normal equations: stacked products
-    give the k x k Grams SᴴS and the right-hand sides Sᴴy, one batched
-    Cholesky factors the Grams, and one batched solve of the Grams gives x
-    (numpy has no batched triangular solve, and one solve of the Gram costs
-    less than two with the factor).  A system goes to ls_solve instead, which
-    supplies its minimum-norm solution and rank flag, when it has more
-    unknowns than rows, when its Cholesky fails, or when its smallest Cholesky
-    pivot is at most _PIVOT_RATIO_CUT times its largest.  A pivot computed from
-    the Gram is accurate only to about sqrt(eps) times the largest, and the
-    normal equations lose accuracy as cond(S)², so the cut sits far above
-    round-off; every system kept on the Gram path is full rank.  A system's
-    path and result depend only on that system, not on the rest of the stack.
+    atoms is m x k x t and C-contiguous: atoms[i] holds S_i's k columns as
+    rows, the layout a gather of rows of _Atoms.rows gives.  Each system is
+    solved from its normal equations: stacked products give the k x k Grams
+    SᴴS and the right-hand sides Sᴴy, one batched Cholesky factors the Grams,
+    and one batched solve of the Grams gives x (numpy has no batched
+    triangular solve, and one solve of the Gram costs less than two with the
+    factor).  A system goes to ls_solve instead, which supplies its
+    minimum-norm solution and rank flag, when it has more unknowns than rows,
+    when its Cholesky fails, or when its smallest Cholesky pivot is at most
+    _PIVOT_RATIO_CUT times its largest.  A pivot computed from the Gram is
+    accurate only to about sqrt(eps) times the largest, and the normal
+    equations lose accuracy as cond(S)², so the cut sits far above round-off;
+    every system kept on the Gram path is full rank.  A system's path and
+    result depend only on that system, not on the rest of the stack.
     """
-    m, t, k = subs.shape
+    m, k, t = atoms.shape
     if 0 < k <= t:
-        atoms = np.ascontiguousarray(np.swapaxes(subs, -1, -2))  # one layout for every caller
         atoms_h = atoms.conj()
         gram = atoms_h @ np.swapaxes(atoms, -1, -2)
         pivots = np.diagonal(_cholesky_each(gram), axis1=1, axis2=2).real
@@ -196,17 +246,29 @@ def _batched_lstsq(subs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nda
     else:
         coef, deficient = np.zeros((m, k), dtype=complex), np.full(m, k > t)
     for i in np.flatnonzero(deficient):
-        coef[i], deficient[i] = ls_solve(subs[i], ys[i])
+        coef[i], deficient[i] = ls_solve(atoms[i].T, ys[i])
     return coef, deficient
 
 
-def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
-    """Greedy pursuit of B problems in lockstep against one dictionary a (T x N).
+class _Pursuit(NamedTuple):
+    """_pursue's results for its B problems; problem b's entries past count[b] are zero."""
+
+    anchors: np.ndarray  # B x kmax: the anchors, ascending
+    rows: np.ndarray  # B x C x kmax: each column's rows, ascending
+    coef: np.ndarray  # B x C x kmax: each column's coefficients on its rows
+    count: np.ndarray  # B: anchors picked
+    history: np.ndarray  # B x kmax x C: each column's residual norm after each step
+    deficient: np.ndarray  # B: some refit went to ls_solve and was rank deficient
+    collision: np.ndarray  # B: some column's rows hold two equal entries
+
+
+def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
+    """Greedy pursuit of B problems in lockstep against one dictionary's atoms.
 
     Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
     working layout) with one anchor set; column c uses rows rolls[c][anchors]
     (the anchors themselves when rolls is None).  Each step takes one a^H @ R
-    product over the active problems, scores every unused anchor by its
+    product over the live problems, scores every unused anchor by its
     correlation power summed over the columns at its rolled rows, and picks the
     first maximum per problem.  It then refits every (problem, column) on its
     sorted rows with one _batched_lstsq call, a batched Gram solve with at most
@@ -214,18 +276,16 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     steps.  The oracle refits through the same function, and a refit depends
     only on its own system, so a pursuit that ends on the true rows returns the
     oracle's coefficients bitwise.  Problem b stops after budgets[b] anchors,
-    or when its best score is not positive (a zero residual).  Returns one
-    offset_structured_somp result per problem; its arrays are views of arrays
-    this call made, shared by no other call.
+    or when its best score is not positive (a zero residual).  The results are
+    stacked over the problems, in arrays this call made.
     """
-    t, n = a.shape
+    n, t = atoms.rows.shape
     n_prob, n_cols, _ = Y.shape
-    if rolls is None:
+    if rolls is None and n_cols > 1:
         rolls = np.broadcast_to(np.arange(n), (n_cols, n))
     budgets = np.asarray(budgets, dtype=int)
     kmax = int(budgets.max(initial=0))
-    atoms = np.ascontiguousarray(a.T)
-    atoms_h = atoms.conj()
+    ends = set(budgets.tolist())
     ys = np.ascontiguousarray(Y, dtype=complex)
     resid = ys.copy()
     rows = np.zeros((n_prob, n_cols, kmax), dtype=int)
@@ -235,46 +295,68 @@ def _pursue(a: np.ndarray, Y: np.ndarray, budgets, rolls=None) -> list[dict]:
     deficient = np.zeros(n_prob, dtype=bool)
     used = np.zeros((n, n_prob), dtype=bool)
     live = np.arange(n_prob)
+    sel = slice(None)  # the live problems: a slice until one drops, then live itself
     for k in range(kmax):
-        live = live[budgets[live] > k]
-        if live.size == 0:
-            break
-        power = (np.abs(atoms_h @ resid[live].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
-        metric = power[rolls[0], :, 0]
-        for c in range(1, n_cols):
-            metric = metric + power[rolls[c], :, c]
-        metric[used[:, live]] = -np.inf
+        if k in ends:
+            live = sel = live[budgets[live] > k]
+            if live.size == 0:
+                break
+        power = np.abs(atoms.conj @ resid[sel].reshape(-1, t).T) ** 2
+        if rolls is None:
+            metric = power  # n x live: one column on the anchors' own rows
+        else:
+            power = power.reshape(n, -1, n_cols)
+            metric = power[rolls[0], :, 0]
+            for c in range(1, n_cols):
+                metric = metric + power[rolls[c], :, c]
+        metric[used[:, sel]] = -np.inf
         best = np.argmax(metric, axis=0)
-        hit = metric[best, np.arange(live.size)] > 0.0
-        live, best = live[hit], best[hit]
-        if live.size == 0:
-            break
+        hit = metric[best, np.arange(best.size)] > 0.0
+        if not hit.all():
+            live, best = live[hit], best[hit]
+            sel = live
+            if live.size == 0:
+                break
         used[best, live] = True
-        picks = np.sort(np.column_stack([anchors[live, :k], best]), axis=1)
-        picked = np.sort(np.moveaxis(rolls[:, picks], 0, 1), axis=-1)  # live x C x (k+1)
-        subs = np.swapaxes(atoms[picked], -1, -2).reshape(-1, t, k + 1)
-        y_live = ys[live].reshape(-1, t)
-        x, flags = _batched_lstsq(subs, y_live)
-        resid[live] = (y_live - (subs @ x[:, :, None])[:, :, 0]).reshape(-1, n_cols, t)
-        del subs
-        anchors[live, : k + 1], rows[live, :, : k + 1] = picks, picked
-        coef[live, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
-        history[live, k] = np.linalg.norm(resid[live], axis=-1)
-        count[live] = k + 1
-        deficient[live] |= flags.reshape(-1, n_cols).any(axis=1)
-    # two equal neighbours among a problem's first count[b] sorted rows of some column
-    valid = np.arange(max(kmax - 1, 0)) < (count - 1)[:, None]
-    collision = np.any((np.diff(rows, axis=2) == 0) & valid[:, None, :], axis=(1, 2))
-    return [
-        {
-            "anchors": anchors[b, :m],
-            "columns": [(rows[b, c, :m], coef[b, c, :m]) for c in range(n_cols)],
-            "residual_history": history[b, :m],
-            "rank_deficient": bool(deficient[b]),
-            "group_collision": bool(collision[b]),
-        }
-        for b, m in enumerate(count)
-    ]
+        anchors[sel, k] = best
+        picks = anchors[sel, : k + 1]  # a view while sel is a slice, else a copy
+        picks.sort(axis=1)
+        if sel is live:
+            anchors[live, : k + 1] = picks
+        if rolls is None:
+            picked = picks[:, None]
+        else:
+            picked = rolls.T[picks]  # live x (k+1) x C, from the n x C roll table
+            picked.sort(axis=1)
+            picked = np.swapaxes(picked, 1, 2)
+        gathered = atoms.rows[picked].reshape(-1, k + 1, t)  # (live * C) x (k+1) x T
+        y_live = ys[sel].reshape(-1, t)
+        x, flags = _batched_lstsq(gathered, y_live)
+        r = y_live - (np.swapaxes(gathered, 1, 2) @ x[:, :, None])[:, :, 0]
+        resid[sel] = r.reshape(-1, n_cols, t)
+        rows[sel, :, : k + 1] = picked
+        coef[sel, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
+        history[sel, k] = np.linalg.norm(r, axis=-1).reshape(-1, n_cols)
+        count[sel] = k + 1
+        deficient[sel] |= flags.reshape(-1, n_cols).any(axis=1)
+    if rolls is None:  # the anchors themselves, which are distinct
+        collision = np.zeros(n_prob, dtype=bool)
+    else:  # two equal neighbours among a problem's first count[b] sorted rows of some column
+        valid = np.arange(max(kmax - 1, 0)) < (count - 1)[:, None]
+        collision = np.any((np.diff(rows, axis=2) == 0) & valid[:, None, :], axis=(1, 2))
+    return _Pursuit(anchors, rows, coef, count, history, deficient, collision)
+
+
+def _problem(fit: _Pursuit, b: int) -> dict:
+    """Problem b of a pursuit, as offset_structured_somp returns it; its arrays are views."""
+    m = fit.count[b]
+    return {
+        "anchors": fit.anchors[b, :m],
+        "columns": [(rows[:m], coef[:m]) for rows, coef in zip(fit.rows[b], fit.coef[b])],
+        "residual_history": fit.history[b, :m],
+        "rank_deficient": bool(fit.deficient[b]),
+        "group_collision": bool(fit.collision[b]),
+    }
 
 
 def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
@@ -285,10 +367,10 @@ def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
         raise ValueError(f"incompatible shapes {a.shape} and {y.shape}")
     if sparsity < 0:
         raise ValueError("sparsity must be non-negative")
-    fit = _pursue(a, y[None, None], [sparsity])[0]
-    rows, coef = fit["columns"][0]
+    fit = _pursue(_Atoms(a), y[None, None], [sparsity])
+    m = fit.count[0]
     out = np.zeros(a.shape[1], dtype=complex)
-    out[rows] = coef
+    out[fit.rows[0, 0, :m]] = fit.coef[0, 0, :m]
     return out
 
 
@@ -343,22 +425,21 @@ def offset_structured_somp(
     if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
     rolls = np.stack([roll_map(offset, geometry) for offset in offsets])
-    return _pursue(a, y_cols.T[None], [n_rows], rolls)[0]
+    return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], rolls), 0)
 
 
-def _assemble(inp: EstimatorInput, col_sets, columns) -> list[ColumnBlock]:
-    """Per-user column blocks from (rows, coef) fits, views of one users x N x C array.
+def _assemble(inp: EstimatorInput, col_sets, rows, coef, count) -> list[ColumnBlock]:
+    """Per-user column blocks from stacked fits, views of one users x N x C array.
 
-    User k's block covers the ascending columns col_sets[k], all of one count
-    C, and its fit columns[k][j] fills block column j.  Every fit is written
-    in one scatter.
+    User k's block covers the ascending columns col_sets[k] (col_sets is
+    users x C), and its column j holds the first count[k, j] entries of
+    rows[k, j] and coef[k, j] (rows and coef are users x C x kmax, count
+    broadcasts to users x C).  Every fit is written in one scatter.
     """
-    n_cols = len(col_sets[0])
-    fits = [fit for user in columns for fit in user]
-    pair = np.repeat(np.arange(len(fits)), [rows.size for rows, _ in fits])  # k * C + j
-    values = np.zeros((len(col_sets), inp.geometry.n_elements, n_cols), dtype=complex)
-    rows = np.concatenate([rows for rows, _ in fits])
-    values[pair // n_cols, rows, pair % n_cols] = np.concatenate([coef for _, coef in fits])
+    valid = np.broadcast_to(np.arange(rows.shape[2]) < count[..., None], rows.shape)
+    user, col, _ = np.nonzero(valid)
+    values = np.zeros((len(col_sets), inp.geometry.n_elements, col_sets.shape[1]), dtype=complex)
+    values[user, rows[valid], col] = coef[valid]
     n_bs = inp.Y.shape[2]
     return [ColumnBlock(cols, block, n_bs) for cols, block in zip(col_sets, values)]
 
@@ -367,21 +448,23 @@ def _per_column_report(inp: EstimatorInput, col_sets, col_support, **diagnostics
     """Each of user k's columns col_sets[k] recovered alone, by its single-column pursuit.
 
     The per-column body of both baselines and of the structured estimator's
-    coarse pass.  The pairs not yet in inp's memo are fitted user-major in one
-    batch and stored there.  The diagnostics are the fits' rank flag, then the
-    given ones.
+    coarse pass; col_sets is users x C.  The pairs not yet in inp's memo are
+    fitted user-major in one batch and stored there.  The diagnostics are the
+    fits' rank flag, then the given ones.
     """
     fits = inp._column_fits
-    keys = [[(k, int(c)) for c in cols] for k, cols in enumerate(col_sets)]
-    todo = [key for user in keys for key in user if key not in fits]
-    if todo:
-        users, cols = np.array(todo).T
-        ys = inp.Y[users, :, cols]  # one gather: problem x pilot
+    pairs = (np.arange(len(col_sets))[:, None], col_sets)  # users x C fancy index
+    users, at = np.nonzero(~fits.done[pairs])
+    if users.size:
+        cols = col_sets[users, at]
         budgets = np.asarray(inp.row_counts)[users]
-        fits.update(zip(todo, _pursue(inp.sensing_matrix, ys[:, None], budgets)))
-    blocks = _assemble(inp, col_sets, [[fits[key]["columns"][0] for key in user] for user in keys])
-    rank_flag = any(fits[key]["rank_deficient"] for user in keys for key in user)
-    diagnostics = {"rank_deficient": rank_flag, **diagnostics}
+        fit = _pursue(inp._atoms, inp.Y[users, :, cols][:, None], budgets)  # problem x 1 x pilot
+        kmax = fit.rows.shape[2]
+        fits.rows[users, cols, :kmax], fits.coef[users, cols, :kmax] = fit.rows[:, 0], fit.coef[:, 0]
+        fits.count[users, cols], fits.deficient[users, cols] = fit.count, fit.deficient
+        fits.done[users, cols] = True
+    blocks = _assemble(inp, col_sets, fits.rows[pairs], fits.coef[pairs], fits.count[pairs])
+    diagnostics = {"rank_deficient": bool(fits.deficient[pairs].any()), **diagnostics}
     return EstimateReport(blocks, col_support, None, None, diagnostics)  # no offsets or patterns
 
 
@@ -394,7 +477,7 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     every user with the offset-coupled joint greedy recovery.
     """
     cols = inp._joint_columns
-    col_sets = [cols] * len(inp.Y)
+    col_sets = np.broadcast_to(cols, (len(inp.Y), cols.size))
     coarse = _per_column_report(inp, col_sets, cols)
     diagnostics: dict = {"offset_fallback": []}
     try:
@@ -403,15 +486,15 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
         offsets = err.offsets
         diagnostics["offset_fallback"] = list(err.failed)
     rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
-    fits = _pursue(inp.sensing_matrix, np.swapaxes(inp.Y, 1, 2)[:, cols], inp.row_counts, rolls)
-    diagnostics["rank_deficient"] = any(fit["rank_deficient"] for fit in fits)
-    diagnostics["group_collision"] = any(fit["group_collision"] for fit in fits)
-    diagnostics["residual_history"] = [fit["residual_history"] for fit in fits]
+    fit = _pursue(inp._atoms, np.swapaxes(inp.Y, 1, 2)[:, cols], inp.row_counts, rolls)
+    diagnostics["rank_deficient"] = bool(fit.deficient.any())
+    diagnostics["group_collision"] = bool(fit.collision.any())
+    diagnostics["residual_history"] = [h[:m] for h, m in zip(fit.history, fit.count)]
     return EstimateReport(
-        blocks=_assemble(inp, col_sets, [fit["columns"] for fit in fits]),
+        blocks=_assemble(inp, col_sets, fit.rows, fit.coef, fit.count[:, None]),
         col_support=cols,
         offsets=offsets,
-        row_patterns=[fit["anchors"] for fit in fits],
+        row_patterns=[anchors[:m] for anchors, m in zip(fit.anchors, fit.count)],
         diagnostics=diagnostics,
     )
 
@@ -424,7 +507,7 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     OMP, with no offset coupling between columns.
     """
     cols = inp._joint_columns
-    return _per_column_report(inp, [cols] * len(inp.Y), cols)
+    return _per_column_report(inp, np.broadcast_to(cols, (len(inp.Y), cols.size)), cols)
 
 
 def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
@@ -436,8 +519,10 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     top_l_indices call over every user's column powers, ties to the smallest
     index, as in the joint detection.
     """
-    supports = list(top_l_indices(_column_power(inp.Y), inp.n_columns))
-    return _per_column_report(inp, supports, np.unique(supports), per_user_col_support=supports)
+    supports = top_l_indices(inp._power, inp.n_columns)
+    return _per_column_report(
+        inp, supports, np.unique(supports), per_user_col_support=list(supports)
+    )
 
 
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:
@@ -449,7 +534,7 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     measurements and one scatter of coefficients.
     """
     t = inp.sensing_matrix.shape[0]
-    atoms = np.ascontiguousarray(inp.sensing_matrix.T)
+    atoms = inp._atoms.rows
     cols = np.array(truth.col_support, dtype=int, copy=True)
     rolls = np.stack([roll_map(offset, inp.geometry) for offset in truth.offsets])
     sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
@@ -463,8 +548,7 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
         patterns = flat[starts[users, None] + np.arange(size)]  # users x size
         rows = np.sort(np.swapaxes(rolls[:, patterns], 0, 1), axis=-1)  # users x C x size
         coef, deficient = _batched_lstsq(
-            np.swapaxes(atoms[rows], -1, -2).reshape(-1, t, size),
-            inp.Y[users[:, None], :, cols].reshape(-1, t),
+            atoms[rows].reshape(-1, size, t), inp.Y[users[:, None], :, cols].reshape(-1, t)
         )
         rank_flag = rank_flag or bool(deficient.any())
         values[users[:, None, None], rows, block_cols] = coef.reshape(rows.shape)

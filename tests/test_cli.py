@@ -2,8 +2,10 @@
 
 import pytest
 
+import risce.cli as cli
 import risce.harness as harness
 from risce.cli import main
+from risce.config import ArrayGeometry, SystemConfig
 from risce.harness import CSV_HEADER, load_results
 
 SMALL = [
@@ -216,3 +218,24 @@ class TestErrors:
         code = main(["single", *SMALL, "--pilots", "16", "--estimators", "always_fails"])
         assert code == 2
         assert "every cell failed" in capsys.readouterr().err
+
+
+def test_calls_in_one_process_parse_independently(monkeypatch):
+    seen = []  # (config, axis, values) of each call that reached the sweep
+
+    def recording(config, axis, values):
+        seen.append((config, axis, list(values)))
+        raise ValueError("stop before any trial")
+
+    monkeypatch.setattr(cli, "run_sweep", recording)
+    assert main(["sweep-snr", "--values=-5,5", "--pilots", "16", "--users", "2"]) == 1
+    assert main(["sweep-t", "--trials", "3"]) == 1
+    assert main(["single", "--noiseless", "--upa", "4", "8"]) == 1
+    assert main(["sweep-t"]) == 1
+    assert cli.build_parser() is cli.build_parser()
+    assert seen == [
+        (SystemConfig(n_pilots=16, n_users=2), "snr", [-5.0, 5.0]),
+        (SystemConfig(trials=3), "pilot_length", [16, 32, 64, 128]),
+        (SystemConfig(snr_db=None, geometry=ArrayGeometry.upa(4, 8)), "pilot_length", [32]),
+        (SystemConfig(), "pilot_length", [16, 32, 64, 128]),
+    ]

@@ -13,7 +13,9 @@ from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
     EstimatorInput,
     OffsetUndetermined,
+    _Atoms,
     _batched_lstsq,
+    _problem,
     _pursue,
     coarse_omp,
     estimate_common_offsets,
@@ -25,7 +27,7 @@ from risce.estimators import (
     offset_structured_somp,
 )
 from risce.harness import nmse_linear, run_trial
-from risce.numerics import ls_solve
+from risce.numerics import ls_solve, top_l_indices
 from risce.sensing import make_sensing_setup, roll_map
 from util import build_trial, check_report, known_shift_scenario, per_user_nmse_db
 
@@ -78,7 +80,7 @@ class TestEstimatorInput:
             )
 
     def test_warns_when_budget_exceeds_pilots(self):
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as record:
             EstimatorInput(
                 Y=np.ones((1, 4, 6)),
                 sensing_matrix=np.ones((4, 8)),
@@ -86,6 +88,8 @@ class TestEstimatorInput:
                 row_counts=[2],
                 geometry=ArrayGeometry.ula(8),
             )
+        # the warning names the code that built the input, not the generated __init__
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestJointColumnSupport:
@@ -303,6 +307,12 @@ class TestPursuitKernel:
     def support(fit, column=0):
         return fit["columns"][column][0].tolist()
 
+    @staticmethod
+    def pursue(a, Y, budgets, rolls=None):
+        """One _pursue batch, as one offset_structured_somp result per problem."""
+        fit = _pursue(_Atoms(a), Y, budgets, rolls)
+        return [_problem(fit, b) for b in range(len(budgets))]
+
     def test_duplicate_atoms_tie_to_smallest_index(self):
         # atoms 4 and 5 duplicate atoms 1 and 2 exactly, so every score ties
         a = np.eye(4, 6, dtype=complex)
@@ -311,7 +321,7 @@ class TestPursuitKernel:
         Y[0, 0, [1, 3]] = [2.0, 1.0]
         Y[1, 0, 2] = 1.0j
         Y[2, 0, [1, 2]] = [1.0, 1.0]
-        fits = _pursue(a, Y, [2, 2, 2])
+        fits = self.pursue(a, Y, [2, 2, 2])
         assert [self.support(fit) for fit in fits] == [[1, 3], [2], [1, 2]]
         for b, fit in enumerate(fits):
             assert self.support(fit) == np.flatnonzero(coarse_omp(Y[b, 0], a, 2)).tolist()
@@ -325,7 +335,7 @@ class TestPursuitKernel:
         Y[0, 0, [0, 2]], Y[0, 1, 1] = [4.0, 2.0], 1.0
         Y[1, 0, [1, 2]] = [2.0, 3.0]  # anchors {1, 2}: rows {2, 3}, full rank
         rolls = np.array([[0, 1, 2, 3], [1, 2, 3, 0]])
-        fits = _pursue(a, Y, [2, 2, 2], rolls)
+        fits = self.pursue(a, Y, [2, 2, 2], rolls)
         deficient = fits[0]
         assert deficient["anchors"].tolist() == [0, 2]
         assert deficient["rank_deficient"]
@@ -342,7 +352,7 @@ class TestPursuitKernel:
         Y = np.zeros((3, 1, 16), dtype=complex)
         Y[0, 0] = a[:, 3] - 2.0 * a[:, 17]
         Y[2, 0] = 0.5j * a[:, 9]
-        fits = _pursue(a, Y, [4, 4, 4])
+        fits = self.pursue(a, Y, [4, 4, 4])
         assert fits[1]["anchors"].size == 0
         assert fits[1]["columns"][0][0].size == 0
         assert fits[1]["residual_history"].shape == (0, 1)
@@ -355,7 +365,7 @@ class TestPursuitKernel:
         budgets = [4, 5, 6, 7, 8]
         Y = rng.standard_normal((32, 5, 1)) + 1j * rng.standard_normal((32, 5, 1))
         Y = np.moveaxis(Y, 0, -1)  # B x C x T, the draws of the T x B x C layout
-        fits = _pursue(a, Y, budgets)
+        fits = self.pursue(a, Y, budgets)
         for b, (fit, budget) in enumerate(zip(fits, budgets)):
             assert fit["anchors"].size == budget
             assert fit["residual_history"].shape == (budget, 1)
@@ -374,19 +384,53 @@ class TestPursuitKernel:
         Y = rng.standard_normal((16, 4, 2)) + 1j * rng.standard_normal((16, 4, 2))
         Y = np.moveaxis(Y, 0, -1)  # B x C x T, the draws of the T x B x C layout
         Y[2, 0], Y[2, 1] = a[:, 0], a[:, 1]
-        fits = _pursue(a, Y, [8, 3, 1, 0], rolls)
+        fits = self.pursue(a, Y, [8, 3, 1, 0], rolls)
         assert self.support(fits[2]) == [0]
         for fit in fits:
             expected = any(np.any(np.diff(rows) == 0) for rows, _ in fit["columns"])
             assert fit["group_collision"] == expected
         assert [fit["group_collision"] for fit in fits] == [True, False, False, False]
 
+    @pytest.mark.parametrize("n_cols", [1, 4], ids=["one-column", "rolled-4-columns"])
+    def test_batch_does_not_change_a_problems_result(self, n_cols):
+        # entries of +-1 +-1j keep the one-atom fit of problem 10 exact: its Gram
+        # and right-hand side are both 32, so its residual is 0.0 after one pick
+        rng = np.random.default_rng(12)
+        a = rng.choice([1.0, -1.0], (16, 32)) + 1j * rng.choice([1.0, -1.0], (16, 32))
+        atoms = _Atoms(a)
+        shifts = [0, 3, -5, 11][:n_cols]
+        rolls = np.stack([(np.arange(32) + s) % 32 for s in shifts]) if n_cols > 1 else None
+        table = np.arange(32)[:, None] if rolls is None else rolls.T
+        budgets = [3, 0, 8, 5, 1, 7, 4, 2, 6, 4, 6]  # 0 to 8, then the zero and the exact one
+        Y = rng.standard_normal((11, n_cols, 16)) + 1j * rng.standard_normal((11, n_cols, 16))
+        Y[9] = 0.0
+        Y[10] = a[:, table[13]].T
+        for batch in (np.arange(11), np.flatnonzero(np.array(budgets) > 0)):
+            fit = _pursue(atoms, Y[batch], np.array(budgets)[batch], rolls)
+            assert fit.count.tolist() == [min(budgets[b], {9: 0, 10: 1}.get(b, 8)) for b in batch]
+            for i, b in enumerate(batch):
+                alone = _pursue(atoms, Y[b : b + 1], budgets[b : b + 1], rolls)
+                m = alone.count[0]
+                assert fit.count[i] == m
+                assert fit.anchors[i, :m].tobytes() == alone.anchors[0, :m].tobytes()
+                assert fit.rows[i, :, :m].tobytes() == alone.rows[0, :, :m].tobytes()
+                assert fit.coef[i, :, :m].tobytes() == alone.coef[0, :, :m].tobytes()
+                assert fit.history[i, :m].tobytes() == alone.history[0, :m].tobytes()
+                assert fit.deficient[i] == alone.deficient[0]
+                assert fit.collision[i] == alone.collision[0]
+                for c in range(n_cols if m else 0):
+                    rows, coef = fit.rows[i, c, :m], fit.coef[i, c, :m]
+                    residual = np.linalg.norm(Y[b, c] - a[:, rows] @ coef)
+                    scale = np.linalg.norm(Y[b, c])
+                    npt.assert_allclose(fit.history[i, m - 1, c], residual, atol=1e-12 * scale)
+        assert fit.history[-1, 0].tolist() == [0.0] * n_cols
+
     def test_batched_lstsq_matches_lstsq_and_flags_singular_systems(self):
         rng = np.random.default_rng(10)
         subs = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
         subs[1, :, 1] = subs[1, :, 0]
         ys = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        coef, deficient = _batched_lstsq(subs, ys)
+        coef, deficient = _batched_lstsq(as_rows(subs), ys)
         assert deficient.tolist() == [False, True, False]
         for i in range(3):
             expected = np.linalg.lstsq(subs[i], ys[i], rcond=None)[0]
@@ -394,10 +438,15 @@ class TestPursuitKernel:
         npt.assert_array_equal(coef[1], np.linalg.lstsq(subs[1], ys[1], rcond=None)[0])
         # more unknowns than rows is rank deficient whatever the values
         wide = subs[:, :2, :].repeat(2, axis=2)[:, :, :3]
-        coef, deficient = _batched_lstsq(wide, ys[:, :2])
+        coef, deficient = _batched_lstsq(as_rows(wide), ys[:, :2])
         assert deficient.all()
         for i in range(3):
             npt.assert_array_equal(coef[i], np.linalg.lstsq(wide[i], ys[i, :2], rcond=None)[0])
+
+
+def as_rows(subs):
+    """A stack of T x k systems in _batched_lstsq's layout: each system's atoms as rows."""
+    return np.ascontiguousarray(np.swapaxes(subs, -1, -2))
 
 
 def conditioned_systems(rng, t, k, conds, spread):
@@ -447,7 +496,7 @@ class TestGramRefit:
         parts = [conditioned_systems(rng, t, k, conds, spread) for spread in (False, True)]
         subs, ys = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
         solved = self.record_ls_solve(monkeypatch)
-        coef, deficient = _batched_lstsq(subs, ys)
+        coef, deficient = _batched_lstsq(as_rows(subs), ys)
         on_gram = np.array([pivot_ratio(sub) > cut for sub in subs])
         assert 0 < on_gram.sum() < len(subs)
         assert solved == [y.tobytes() for y in ys[~on_gram]]
@@ -465,15 +514,15 @@ class TestGramRefit:
         subs = np.swapaxes(np.ascontiguousarray(a.T)[rows], -1, -2)
         ys = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
         probe = 17
-        alone = _batched_lstsq(subs[probe : probe + 1], ys[probe : probe + 1])
-        in_batch = _batched_lstsq(subs, ys)
+        alone = _batched_lstsq(as_rows(subs[probe : probe + 1]), ys[probe : probe + 1])
+        in_batch = _batched_lstsq(as_rows(subs), ys)
         # a zero atom makes the neighbour's Gram singular, so the stacked Cholesky
         # raises and every system is factored on its own
         singular = subs[probe - 1 : probe + 1].copy()
         singular[0, :, 3] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(singular[0].conj().T @ singular[0])
-        beside = _batched_lstsq(singular, ys[probe - 1 : probe + 1])
+        beside = _batched_lstsq(as_rows(singular), ys[probe - 1 : probe + 1])
         assert beside[1].tolist() == [True, False]
         npt.assert_array_equal(
             beside[0][0], np.linalg.lstsq(singular[0], ys[probe - 1], rcond=None)[0]
@@ -624,7 +673,7 @@ class TestOracleLs:
                 expected = np.zeros_like(report.blocks[k].values)
                 for j, (c, offset) in enumerate(zip(truth.col_support, truth.offsets)):
                     rows = np.sort(roll_map(offset, cfg.geometry)[pattern])
-                    coef, _ = _batched_lstsq(a[:, rows][None], inp.Y[k][:, c][None])
+                    coef, _ = _batched_lstsq(a.T[rows][None], inp.Y[k][:, c][None])
                     expected[rows, j] = coef[0]
                 assert report.blocks[k].values.tobytes() == expected.tobytes()
 
@@ -738,22 +787,46 @@ class TestSharedColumnFits:
             extra_total += extra
         assert extra_total > 0, "no trial exercised a column outside the joint support"
 
-    def test_joint_support_is_computed_once_per_input(self, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize(
+        "cfg",
+        [SystemConfig(), SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64)],
+        ids=["ula-t32", "upa-16x16"],
+    )
+    def test_each_per_input_operand_is_computed_once(self, cfg, monkeypatch):
+        calls = []  # names of the per-input reductions, one entry per call
 
-        def counting(Y, n_columns):
-            calls.append(n_columns)
-            return joint_column_support(Y, n_columns)
+        def counting(name):
+            original = getattr(estimators, name)
 
-        monkeypatch.setattr(estimators, "joint_column_support", counting)
-        _, _, _, _, inp = build_trial(SystemConfig(), trial_index=0)
-        expected = joint_column_support(inp.Y, inp.n_columns)
-        triple = estimate_triple_structured(inp)
-        row = estimate_row_structured(inp)
-        assert calls == [inp.n_columns]
-        npt.assert_array_equal(triple.col_support, expected)
-        npt.assert_array_equal(row.col_support, expected)
-        assert not triple.col_support.flags.writeable
+            def count(x):
+                calls.append(name)
+                return original(x)
+
+            return count
+
+        for name in ("_column_power", "_Atoms"):
+            monkeypatch.setattr(estimators, name, counting(name))
+        # trials 5 and 9 prune columns per user outside the joint support
+        for trial in (0, 5, 9):
+            _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
+            oracle = estimate_oracle_ls(inp, truth)
+            reports = {name: estimate(inp) for name, estimate in GREEDY.items()}
+            assert sorted(calls) == ["_Atoms", "_column_power"]
+            calls.clear()
+            fresh = build_trial(cfg, trial_index=trial)[4]
+            expected = joint_column_support(fresh.Y, fresh.n_columns)
+            per_user = top_l_indices(np.sum(np.abs(fresh.Y) ** 2, axis=1), fresh.n_columns)
+            calls.clear()
+            triple, row = reports["triple_structured"], reports["row_structured"]
+            assert row.col_support is triple.col_support
+            assert not triple.col_support.flags.writeable
+            npt.assert_array_equal(triple.col_support, expected)
+            assert_bitwise_equal(
+                reports["conventional_omp"].diagnostics["per_user_col_support"], list(per_user)
+            )
+            fresh_oracle = estimate_oracle_ls(fresh, truth)
+            assert_bitwise_equal(oracle.H_hat, fresh_oracle.H_hat)
+            calls.clear()
 
     def test_one_column_joint_pass_equals_the_memo_fit(self):
         cfg = SystemConfig(bs_paths=1)
@@ -762,7 +835,8 @@ class TestSharedColumnFits:
             col = joint_column_support(inp.Y, 1)[0]
             rolls = np.arange(inp.geometry.n_elements)[None, :]
             Y = np.swapaxes(inp.Y[:, :, [col]], 1, 2)  # users x 1 x pilots
-            joint = _pursue(inp.sensing_matrix, Y, inp.row_counts, rolls)
+            fit = _pursue(_Atoms(inp.sensing_matrix), Y, inp.row_counts, rolls)
+            joint = [_problem(fit, k) for k in range(len(Y))]
             triple = estimate_triple_structured(inp)
             # the report's arrays are copies: changing them leaves the memo intact
             histories = triple.diagnostics["residual_history"]
