@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import ArrayGeometry
 from .numerics import circ_xcorr_2d, ls_solve, peak_shift_2d, top_l_indices
-from .sensing import ColumnBlock, GroundTruth, Offset, roll_map
+from .sensing import GroundTruth, Offset, roll_map
 
 # the benchmark tracer wraps this name on this module, so it stays imported here
 from .numerics import circ_xcorr_1d  # noqa: F401
@@ -142,24 +142,24 @@ class EstimatorInput:
 
 @dataclass
 class EstimateReport:
-    """Estimator output: per-user channel estimates plus recovered structure.
+    """Estimator output: every user's channel estimate plus recovered structure.
 
-    Each user's estimate is a column block over the columns that user's
-    estimate occupies; the blocks are views of one users x n_elements x
-    n_columns array.  offsets and row_patterns are None for estimators that
-    do not model the cross-column coupling.
+    User k's estimate occupies the BS beams cols[k] (users x C, each row
+    ascending): column j of values[k] (users x n_elements x C) is beam
+    cols[k, j], and every other beam is zero.  offsets and row_patterns are
+    None for estimators that do not model the cross-column coupling.
     """
 
-    blocks: list[ColumnBlock]
-    col_support: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     offsets: list[Offset] | None
     row_patterns: list[np.ndarray] | None
     diagnostics: dict = field(default_factory=dict)
 
-    @cached_property
-    def H_hat(self) -> list[np.ndarray]:
-        """Dense per-user n_elements x n_bs estimates: read-only, built on first access."""
-        return [block.dense() for block in self.blocks]
+    @property
+    def col_support(self) -> np.ndarray:
+        """Every beam some user's estimate occupies, ascending."""
+        return np.unique(self.cols)
 
 
 class OffsetUndetermined(RuntimeError):
@@ -375,20 +375,22 @@ def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
 
 
 def estimate_common_offsets(
-    coarse_cols: list[np.ndarray], geometry: ArrayGeometry
+    coarse_cols: list[np.ndarray] | np.ndarray, geometry: ArrayGeometry
 ) -> list[Offset]:
     """Shared circular shifts between the first retained column and each other one.
 
-    Each user's coarse columns are laid out on the (n1, n2) element grid (a
-    linear array is n2 == 1).  One batched 2-D circular correlation of every
-    user's reference column against each of its columns gives a map per
-    (user, column); the maps are summed over users, in user order, and each
-    column's offset is the per-axis signed lag of its peak.  The first column
-    is the reference (zero shift).  Raises OffsetUndetermined, carrying
-    zero-shift fallbacks, if some column has no correlation mass at all.
+    coarse_cols holds every user's n_elements x C coarse columns, as a list or
+    as one users x n_elements x C array.  Each user's columns are laid out on
+    the (n1, n2) element grid (a linear array is n2 == 1).  One batched 2-D
+    circular correlation of every user's reference column against each of its
+    columns gives a map per (user, column); the maps are summed over users, in
+    user order, and each column's offset is the per-axis signed lag of its
+    peak.  The first column is the reference (zero shift).  Raises
+    OffsetUndetermined, carrying zero-shift fallbacks, if some column has no
+    correlation mass at all.
     """
-    n_users, n_cols = len(coarse_cols), coarse_cols[0].shape[1]
-    maps = np.stack(coarse_cols).transpose(0, 2, 1)
+    maps = np.asarray(coarse_cols).transpose(0, 2, 1)
+    n_users, n_cols, _ = maps.shape
     maps = maps.reshape(n_users, n_cols, geometry.n1, geometry.n2)
     corr = circ_xcorr_2d(np.broadcast_to(maps[:, :1], maps.shape), maps).sum(axis=0)
     zero = geometry.to_public((0, 0))
@@ -424,33 +426,31 @@ def offset_structured_somp(
         raise ValueError(f"incompatible shapes {a.shape} and {y_cols.shape}")
     if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
-    rolls = np.stack([roll_map(offset, geometry) for offset in offsets])
-    return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], rolls), 0)
+    if n_rows < 0:
+        raise ValueError("n_rows must be non-negative")
+    return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], roll_map(offsets, geometry)), 0)
 
 
-def _assemble(inp: EstimatorInput, col_sets, rows, coef, count) -> list[ColumnBlock]:
-    """Per-user column blocks from stacked fits, views of one users x N x C array.
+def _assemble(inp: EstimatorInput, rows, coef, count) -> np.ndarray:
+    """The users x N x C estimate values from stacked fits, written in one scatter.
 
-    User k's block covers the ascending columns col_sets[k] (col_sets is
-    users x C), and its column j holds the first count[k, j] entries of
-    rows[k, j] and coef[k, j] (rows and coef are users x C x kmax, count
-    broadcasts to users x C).  Every fit is written in one scatter.
+    Column j of user k holds the first count[k, j] entries of rows[k, j] and
+    coef[k, j] (rows and coef are users x C x kmax, count broadcasts to
+    users x C).
     """
     valid = np.broadcast_to(np.arange(rows.shape[2]) < count[..., None], rows.shape)
     user, col, _ = np.nonzero(valid)
-    values = np.zeros((len(col_sets), inp.geometry.n_elements, col_sets.shape[1]), dtype=complex)
+    values = np.zeros((len(rows), inp.geometry.n_elements, rows.shape[1]), dtype=complex)
     values[user, rows[valid], col] = coef[valid]
-    n_bs = inp.Y.shape[2]
-    return [ColumnBlock(cols, block, n_bs) for cols, block in zip(col_sets, values)]
+    return values
 
 
-def _per_column_report(inp: EstimatorInput, col_sets, col_support, **diagnostics) -> EstimateReport:
+def _per_column_report(inp: EstimatorInput, col_sets) -> EstimateReport:
     """Each of user k's columns col_sets[k] recovered alone, by its single-column pursuit.
 
     The per-column body of both baselines and of the structured estimator's
-    coarse pass; col_sets is users x C.  The pairs not yet in inp's memo are
-    fitted user-major in one batch and stored there.  The diagnostics are the
-    fits' rank flag, then the given ones.
+    coarse pass; col_sets is users x C, each row ascending.  The pairs not yet
+    in inp's memo are fitted user-major in one batch and stored there.
     """
     fits = inp._column_fits
     pairs = (np.arange(len(col_sets))[:, None], col_sets)  # users x C fancy index
@@ -463,9 +463,9 @@ def _per_column_report(inp: EstimatorInput, col_sets, col_support, **diagnostics
         fits.rows[users, cols, :kmax], fits.coef[users, cols, :kmax] = fit.rows[:, 0], fit.coef[:, 0]
         fits.count[users, cols], fits.deficient[users, cols] = fit.count, fit.deficient
         fits.done[users, cols] = True
-    blocks = _assemble(inp, col_sets, fits.rows[pairs], fits.coef[pairs], fits.count[pairs])
-    diagnostics = {"rank_deficient": bool(fits.deficient[pairs].any()), **diagnostics}
-    return EstimateReport(blocks, col_support, None, None, diagnostics)  # no offsets or patterns
+    values = _assemble(inp, fits.rows[pairs], fits.coef[pairs], fits.count[pairs])
+    diagnostics = {"rank_deficient": bool(fits.deficient[pairs].any())}
+    return EstimateReport(col_sets, values, None, None, diagnostics)  # no offsets or patterns
 
 
 def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
@@ -478,21 +478,21 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     """
     cols = inp._joint_columns
     col_sets = np.broadcast_to(cols, (len(inp.Y), cols.size))
-    coarse = _per_column_report(inp, col_sets, cols)
+    coarse = _per_column_report(inp, col_sets)
     diagnostics: dict = {"offset_fallback": []}
     try:
-        offsets = estimate_common_offsets([block.values for block in coarse.blocks], inp.geometry)
+        offsets = estimate_common_offsets(coarse.values, inp.geometry)
     except OffsetUndetermined as err:
         offsets = err.offsets
         diagnostics["offset_fallback"] = list(err.failed)
-    rolls = np.stack([roll_map(offset, inp.geometry) for offset in offsets])
+    rolls = roll_map(offsets, inp.geometry)
     fit = _pursue(inp._atoms, np.swapaxes(inp.Y, 1, 2)[:, cols], inp.row_counts, rolls)
     diagnostics["rank_deficient"] = bool(fit.deficient.any())
     diagnostics["group_collision"] = bool(fit.collision.any())
     diagnostics["residual_history"] = [h[:m] for h, m in zip(fit.history, fit.count)]
     return EstimateReport(
-        blocks=_assemble(inp, col_sets, fit.rows, fit.coef, fit.count[:, None]),
-        col_support=cols,
+        cols=col_sets,
+        values=_assemble(inp, fit.rows, fit.coef, fit.count[:, None]),
         offsets=offsets,
         row_patterns=[anchors[:m] for anchors, m in zip(fit.anchors, fit.count)],
         diagnostics=diagnostics,
@@ -507,7 +507,7 @@ def estimate_row_structured(inp: EstimatorInput) -> EstimateReport:
     OMP, with no offset coupling between columns.
     """
     cols = inp._joint_columns
-    return _per_column_report(inp, np.broadcast_to(cols, (len(inp.Y), cols.size)), cols)
+    return _per_column_report(inp, np.broadcast_to(cols, (len(inp.Y), cols.size)))
 
 
 def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
@@ -519,10 +519,7 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     top_l_indices call over every user's column powers, ties to the smallest
     index, as in the joint detection.
     """
-    supports = top_l_indices(inp._power, inp.n_columns)
-    return _per_column_report(
-        inp, supports, np.unique(supports), per_user_col_support=list(supports)
-    )
+    return _per_column_report(inp, top_l_indices(inp._power, inp.n_columns))
 
 
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:
@@ -536,7 +533,7 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     t = inp.sensing_matrix.shape[0]
     atoms = inp._atoms.rows
     cols = np.array(truth.col_support, dtype=int, copy=True)
-    rolls = np.stack([roll_map(offset, inp.geometry) for offset in truth.offsets])
+    rolls = roll_map(truth.offsets, inp.geometry)
     sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
     flat = np.concatenate(truth.row_patterns)  # a copy: the report's patterns are split from it
     starts = np.cumsum(sizes) - sizes
@@ -552,10 +549,9 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
         )
         rank_flag = rank_flag or bool(deficient.any())
         values[users[:, None, None], rows, block_cols] = coef.reshape(rows.shape)
-    n_bs = inp.Y.shape[2]
     return EstimateReport(
-        blocks=[ColumnBlock(cols, block, n_bs) for block in values],
-        col_support=cols,
+        cols=np.broadcast_to(cols, (sizes.size, cols.size)),
+        values=values,
         offsets=list(truth.offsets),
         row_patterns=np.split(flat, np.cumsum(sizes)[:-1]),
         diagnostics={"rank_deficient": rank_flag},

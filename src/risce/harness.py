@@ -20,6 +20,7 @@ import numpy as np
 from .channel import generate_channels
 from .config import SystemConfig
 from .estimators import (
+    EstimateReport,
     EstimatorInput,
     estimate_conventional_omp,
     estimate_oracle_ls,
@@ -27,7 +28,7 @@ from .estimators import (
     estimate_triple_structured,
 )
 from .sensing import (
-    ColumnBlock,
+    GroundTruth,
     extract_ground_truth,
     make_sensing_setup,
     simulate_measurements,
@@ -62,23 +63,34 @@ def nmse_linear(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
     return err / energy
 
 
+def _widened(values: np.ndarray, cols: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """A new N x len(union) array of the channel that values holds over cols, a subset of union."""
+    out = np.zeros((values.shape[0], union.size), dtype=complex)
+    out[:, np.searchsorted(union, cols)] = values
+    return out
+
+
 def _aligned(
-    estimate: list[ColumnBlock], truth: list[ColumnBlock]
+    report: EstimateReport, truth: GroundTruth
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per-user estimate and truth over the union of their columns, for nmse_linear.
 
     The columns outside the union are zero in both, so the NMSE is that of the
-    dense channels.  Where the column sets agree the blocks are used as they are.
+    dense channels.  The users whose columns equal the truth's are scored on
+    their values as they are; only the others are widened to the union.
     """
+    same = np.zeros(len(report.cols), dtype=bool)
+    if report.cols.shape[1] == truth.col_support.size:
+        same = np.all(report.cols == truth.col_support, axis=1)
     H_hat, H_true = [], []
-    for est, true in zip(estimate, truth, strict=True):
-        if np.array_equal(est.cols, true.cols):
-            H_hat.append(est.values)
-            H_true.append(true.values)
+    for match, cols, est, true in zip(same, report.cols, report.values, truth.values, strict=True):
+        if match:
+            H_hat.append(est)
+            H_true.append(true)
         else:
-            cols = np.union1d(est.cols, true.cols)
-            H_hat.append(est.over(cols))
-            H_true.append(true.over(cols))
+            union = np.union1d(cols, truth.col_support)
+            H_hat.append(_widened(est, cols, union))
+            H_true.append(_widened(true, truth.col_support, union))
     return H_hat, H_true
 
 
@@ -144,7 +156,7 @@ def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> Tr
     for name in config.estimators:
         try:
             report = ESTIMATORS[name](inp, truth)
-            ratios[name] = nmse_linear(*_aligned(report.blocks, truth.blocks))
+            ratios[name] = nmse_linear(*_aligned(report, truth))
         except Exception as exc:  # keep the trial alive; the cell records the failure
             errors[name] = _failure(exc)
     return TrialResult(nmse_lin=ratios, errors=errors)

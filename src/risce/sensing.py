@@ -48,30 +48,6 @@ class SensingSetup:
     geometry: ArrayGeometry
 
 
-@dataclass(frozen=True)
-class ColumnBlock:
-    """One user's n_elements x n_bs beamspace channel, stored as its occupied columns.
-
-    Column j of values is BS beam cols[j]; every other column is zero.
-    """
-
-    cols: np.ndarray  # occupied BS beams, ascending
-    values: np.ndarray  # n_elements x len(cols)
-    n_bs: int
-
-    def over(self, cols: np.ndarray) -> np.ndarray:
-        """A new array of the channel's columns cols: ascending, and a superset of self.cols."""
-        out = np.zeros((self.values.shape[0], len(cols)), dtype=complex)
-        out[:, np.searchsorted(cols, self.cols)] = self.values
-        return out
-
-    def dense(self) -> np.ndarray:
-        """The full n_elements x n_bs channel, zero outside cols, as a read-only array."""
-        out = self.over(np.arange(self.n_bs))
-        out.flags.writeable = False  # a cached view is shared by every reader
-        return out
-
-
 @dataclass
 class GroundTruth:
     """Beamspace channels plus the sparsity metadata estimators are judged against."""
@@ -83,14 +59,15 @@ class GroundTruth:
     n_bs: int
 
     @cached_property
-    def blocks(self) -> list[ColumnBlock]:
-        """Per-user beamspace cascaded channels over col_support, views of values."""
-        return [ColumnBlock(self.col_support, values, self.n_bs) for values in self.values]
+    def H(self) -> np.ndarray:
+        """Dense users x n_elements x n_bs channels, zero outside col_support.
 
-    @cached_property
-    def H(self) -> list[np.ndarray]:
-        """Dense per-user n_elements x n_bs channels: read-only, built on first access."""
-        return [block.dense() for block in self.blocks]
+        Read-only, built on first access; no trial reads it.
+        """
+        H = np.zeros((*self.values.shape[:2], self.n_bs), dtype=complex)
+        H[:, :, self.col_support] = self.values
+        H.flags.writeable = False  # a cached view is shared by every reader
+        return H
 
 
 @dataclass
@@ -126,20 +103,21 @@ def make_sensing_setup(
     )
 
 
-def _shift(idx: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    d1, d2 = geometry.to_pair(offset)
+def _shift(idx: np.ndarray, d1, d2, geometry: ArrayGeometry) -> np.ndarray:
+    """Flat element indices moved by per-axis shifts (d1, d2), which broadcast against idx."""
     r1, r2 = np.divmod(idx, geometry.n2)
     return ((r1 + d1) % geometry.n1) * geometry.n2 + (r2 + d2) % geometry.n2
 
 
 def shift_indices(indices: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
     """Circularly shift flat element indices by an offset, per axis of the element grid."""
-    return np.sort(_shift(np.asarray(indices, dtype=int), offset, geometry))
+    return np.sort(_shift(np.asarray(indices, dtype=int), *geometry.to_pair(offset), geometry))
 
 
-def roll_map(offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    """Unsorted shift of every element: roll[p] is the index p moves to under the offset."""
-    return _shift(np.arange(geometry.n_elements), offset, geometry)
+def roll_map(offsets: list[Offset], geometry: ArrayGeometry) -> np.ndarray:
+    """The C x n_elements roll table of C offsets: roll[c, p] is where p moves under offsets[c]."""
+    pairs = np.array([geometry.to_pair(offset) for offset in offsets], dtype=int).reshape(-1, 2)
+    return _shift(np.arange(geometry.n_elements), pairs[:, :1], pairs[:, 1:], geometry)
 
 
 def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -> GroundTruth:

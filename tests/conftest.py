@@ -44,8 +44,8 @@ def canonical_trials():
                     try:
                         report = ESTIMATORS[name](inp, truth)
                         record = (
-                            structure_digest(report),
-                            nmse_linear(*_aligned(report.blocks, truth.blocks)),
+                            structure_digest(report, inp),
+                            nmse_linear(*_aligned(report, truth)),
                         )
                     except Exception:
                         record = None

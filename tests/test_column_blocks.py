@@ -1,9 +1,12 @@
 """The beamspace channels of a trial are column blocks: the occupied BS-beam columns only.
 
-A trial builds, measures and scores every channel over its own columns; the
-dense n_elements x n_bs views (GroundTruth.H, EstimateReport.H_hat) are built
-on first read, and the trial never reads them, nor the dense reference model
-in risce.reference.  These checks hold the block path to the dense definitions.
+The truth is values (users x N x C) over the shared columns col_support, and
+every estimate is values (users x N x C) over cols (users x C): user k's
+channel is values[k] at the BS beams cols[k] and zero elsewhere.  A trial
+builds, measures and scores every channel over those columns; the dense
+users x N x n_bs truth GroundTruth.H is built on first read, and the trial
+never reads it, nor the dense reference model in risce.reference.  These
+checks hold the column-block path to the dense definitions.
 """
 
 import ast
@@ -18,10 +21,10 @@ import pytest
 
 import risce.reference as reference
 from risce.config import ArrayGeometry, SystemConfig
-from risce.estimators import EstimateReport
+from risce.estimators import joint_column_support
 from risce.harness import ESTIMATORS, nmse_linear, run_trial
 from risce.sensing import GroundTruth
-from util import build_trial
+from util import build_trial, dense
 
 CANONICAL = SystemConfig()  # 128-element linear reflector, 32 pilots
 PLANAR = SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64)
@@ -32,22 +35,12 @@ CONFIGS = {"canonical": CANONICAL, "upa-16x16": PLANAR, "one-column": ONE_COLUMN
 TRIALS = (0, 5)
 
 
-def assert_views_match_blocks(blocks, views) -> None:
-    for block, dense in zip(blocks, views, strict=True):
-        assert dense.shape == (block.values.shape[0], block.n_bs)
-        assert not dense.flags.writeable
-        outside = np.setdiff1d(np.arange(block.n_bs), block.cols)
-        assert not dense[:, outside].any()
-        assert dense[:, block.cols].tobytes() == block.values.tobytes()
-
-
 @pytest.mark.parametrize("config", [CANONICAL, PLANAR], ids=["ula-128", "upa-16x16"])
 def test_trial_reads_no_dense_view(config, monkeypatch):
     def refuse(self):
         raise AssertionError("a dense view was built on the trial path")
 
     monkeypatch.setattr(GroundTruth, "H", property(refuse))
-    monkeypatch.setattr(EstimateReport, "H_hat", property(refuse))
     patched = set()
     for name, fn in inspect.getmembers(reference, inspect.isfunction):
         if name.startswith("_") or fn.__module__ != reference.__name__:
@@ -100,24 +93,26 @@ def test_trial_nmse_equals_dense_nmse():
             _, _, truth, _, inp = build_trial(config, trial)
             for name in config.estimators:
                 report = ESTIMATORS[name](inp, truth)
-                dense = nmse_linear(report.H_hat, truth.H)
-                npt.assert_allclose(result.nmse_lin[name], dense, rtol=1e-12, atol=0)
+                H_hat = dense(report.cols, report.values, config.n_bs)
+                npt.assert_allclose(
+                    result.nmse_lin[name], nmse_linear(H_hat, truth.H), rtol=1e-12, atol=0
+                )
                 if name == "conventional_omp":
-                    differing_users += sum(
-                        not np.array_equal(block.cols, truth.col_support)
-                        for block in report.blocks
-                    )
+                    differing_users += int(np.any(report.cols != truth.col_support, axis=1).sum())
     assert differing_users > 0
 
 
 @pytest.mark.parametrize("case", list(CONFIGS))
 def test_dense_views_are_the_blocks_zero_filled(case):
     config = CONFIGS[case]
-    _, _, truth, _, inp = build_trial(config, trial_index=5)
-    assert_views_match_blocks(truth.blocks, truth.H)
-    for name in config.estimators:
-        report = ESTIMATORS[name](inp, truth)
-        assert_views_match_blocks(report.blocks, report.H_hat)
+    truth = build_trial(config, trial_index=5)[2]
+    H = truth.H
+    assert H.shape == (config.n_users, config.geometry.n_elements, config.n_bs)
+    assert not H.flags.writeable
+    outside = np.setdiff1d(np.arange(config.n_bs), truth.col_support)
+    assert not H[:, :, outside].any()
+    assert H[:, :, truth.col_support].tobytes() == truth.values.tobytes()
+    assert H.tobytes() == dense(truth.col_support, truth.values, config.n_bs).tobytes()
 
 
 @pytest.mark.parametrize("case", list(CONFIGS))
@@ -125,13 +120,23 @@ def test_blocks_are_views_of_one_user_stack(case):
     # users are the leading axis of one array for the truth and for every estimate
     config = CONFIGS[case]
     _, _, truth, _, inp = build_trial(config, trial_index=5)
-    reports = {"truth": truth.blocks}
-    reports.update({name: ESTIMATORS[name](inp, truth).blocks for name in config.estimators})
-    for name, blocks in reports.items():
-        stack = blocks[0].values.base
-        assert stack.shape == (config.n_users, config.geometry.n_elements, config.bs_paths), name
-        for k, block in enumerate(blocks):
-            assert block.values.base is stack and np.shares_memory(block.values, stack[k]), name
+    shape = (config.n_users, config.geometry.n_elements, config.bs_paths)
+    assert truth.values.shape == shape
+    assert truth.col_support.shape == (config.bs_paths,)
+    # the structured estimator, the row baseline and the oracle share one support across users
+    shared = {
+        "triple_structured": joint_column_support(inp.Y, config.bs_paths),
+        "row_structured": joint_column_support(inp.Y, config.bs_paths),
+        "oracle_ls": truth.col_support,
+    }
+    for name in config.estimators:
+        report = ESTIMATORS[name](inp, truth)
+        assert report.values.shape == shape, name
+        assert report.cols.shape == (config.n_users, config.bs_paths), name
+        assert np.all(np.diff(report.cols, axis=1) > 0), name
+        npt.assert_array_equal(report.col_support, np.unique(report.cols))
+        if name in shared:
+            assert (report.cols == shared[name]).all(), name
 
 
 @pytest.mark.parametrize("case", ["one-column", "upa-16x16"])

@@ -1,6 +1,10 @@
-"""README matches the code and results/: flags, config keys, package layout, pilot overhead."""
+"""README matches the code and results/: flags, config keys, package layout, pilot overhead,
+and every package name it quotes."""
 
 import argparse
+import dataclasses
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -79,3 +83,46 @@ def test_pilot_overhead_table_matches_the_committed_sweeps():
                 for estimator in estimators
             }
     assert readme == expected
+
+
+def _resolves(name: str, modules: dict, classes: dict) -> bool:
+    """Whether a dotted name is a module attribute, a class attribute or a dataclass field."""
+    head, *rest = name.removeprefix("risce.").split(".")
+    obj = modules.get(head) or classes.get(head)
+    if obj is None:
+        return False
+    for i, attr in enumerate(rest):
+        if hasattr(obj, attr):
+            obj = getattr(obj, attr)
+            continue
+        fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else ()
+        return attr in fields and i == len(rest) - 1  # a field without a class-level default
+    return True
+
+
+def test_quoted_package_names_resolve():
+    # a quoted dotted name is the package's when it starts with risce, a module of the
+    # package or a CamelCase class name, as in `sensing.extract_ground_truth`, `GroundTruth.H`
+    modules = {
+        path.stem: importlib.import_module(f"risce.{path.stem}")
+        for path in (ROOT / "src" / "risce").glob("*.py")
+        if path.stem != "__init__"
+    }
+    classes = {
+        name: cls
+        for module in modules.values()
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+    }
+    quoted = re.findall(r"`((?:[A-Za-z_]\w*\.)+[A-Za-z_]\w*)(?:\(\))?`", README)
+    names = sorted(
+        {
+            name
+            for name in quoted
+            if name.split(".")[0] in {"risce", *modules}
+            or re.fullmatch(r"[A-Z][a-z0-9]+[A-Z]\w*", name.split(".")[0])
+        }
+    )
+    assert "CellStats.failure_reasons" in names and "sensing.extract_ground_truth" in names
+    missing = [name for name in names if not _resolves(name, modules, classes)]
+    assert not missing, f"README quotes names the package does not have: {missing}"

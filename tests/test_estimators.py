@@ -28,8 +28,8 @@ from risce.estimators import (
 )
 from risce.harness import nmse_linear, run_trial
 from risce.numerics import ls_solve, top_l_indices
-from risce.sensing import make_sensing_setup, roll_map
-from util import build_trial, check_report, known_shift_scenario, per_user_nmse_db
+from risce.sensing import make_sensing_setup, shift_indices
+from util import build_trial, check_report, dense, known_shift_scenario, per_user_nmse_db
 
 
 def unit_column_dictionary(rng, t, n):
@@ -299,6 +299,14 @@ class TestOffsetStructuredSomp:
                 ArrayGeometry.ula(16),
             )
 
+    def test_rejects_a_negative_row_budget(self):
+        # as coarse_omp rejects a negative sparsity; a zero budget is an empty fit
+        y_cols, a = np.ones((8, 2), dtype=complex), np.ones((8, 16), dtype=complex)
+        with pytest.raises(ValueError, match="non-negative"):
+            offset_structured_somp(y_cols, a, [0, 3], -1, ArrayGeometry.ula(16))
+        fit = offset_structured_somp(y_cols, a, [0, 3], 0, ArrayGeometry.ula(16))
+        assert fit["anchors"].size == 0
+
 
 class TestPursuitKernel:
     """Edge cases of the lockstep kernel, each inside one batch of problems."""
@@ -536,13 +544,14 @@ class TestGramRefit:
         for trial in range(3):
             _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
             oracle = estimate_oracle_ls(inp, truth)
-            support = [H_k != 0 for H_k in oracle.H_hat]
             matched = 0
             for name, estimate in GREEDY.items():
                 report = estimate(inp)
-                if all(np.array_equal(H_k != 0, s) for H_k, s in zip(report.H_hat, support)):
+                if np.array_equal(report.cols, oracle.cols) and np.array_equal(
+                    report.values != 0, oracle.values != 0
+                ):
                     matched += 1
-                    assert_bitwise_equal(report.H_hat, oracle.H_hat)
+                    assert_bitwise_equal(report.values, oracle.values)
                 else:
                     assert name != "triple_structured"
             assert matched >= 1
@@ -557,7 +566,8 @@ class TestTripleStructured:
         assert report.offsets == truth.offsets
         for k in range(cfg.n_users):
             npt.assert_array_equal(report.row_patterns[k], truth.row_patterns[k])
-        assert all(db < -100.0 for db in per_user_nmse_db(report.H_hat, truth.H))
+        H_hat = dense(report.cols, report.values, truth.n_bs)
+        assert all(db < -100.0 for db in per_user_nmse_db(H_hat, truth.H))
 
     def test_noisy_output_invariants(self):
         cfg = SystemConfig()
@@ -589,7 +599,8 @@ class TestRowStructuredBaseline:
         report = estimate_row_structured(inp)
         npt.assert_array_equal(report.col_support, truth.col_support)
         assert report.offsets is None and report.row_patterns is None
-        assert all(db < -100.0 for db in per_user_nmse_db(report.H_hat, truth.H))
+        H_hat = dense(report.cols, report.values, truth.n_bs)
+        assert all(db < -100.0 for db in per_user_nmse_db(H_hat, truth.H))
 
     def test_noisy_output_invariants(self):
         _, _, _, _, inp = build_trial(SystemConfig())
@@ -602,16 +613,15 @@ class TestConventionalOmpBaseline:
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_conventional_omp(inp)
         npt.assert_array_equal(report.col_support, truth.col_support)
-        assert all(db < -100.0 for db in per_user_nmse_db(report.H_hat, truth.H))
+        H_hat = dense(report.cols, report.values, truth.n_bs)
+        assert all(db < -100.0 for db in per_user_nmse_db(H_hat, truth.H))
 
     def test_per_user_supports_reported(self):
         cfg = SystemConfig()
         _, _, _, _, inp = build_trial(cfg)
         report = estimate_conventional_omp(inp)
         check_report(report, inp)
-        supports = report.diagnostics["per_user_col_support"]
-        assert len(supports) == cfg.n_users
-        assert all(s.size == cfg.bs_paths for s in supports)
+        assert report.cols.shape == (cfg.n_users, cfg.bs_paths)
 
 
 class TestOracleLs:
@@ -619,7 +629,7 @@ class TestOracleLs:
         cfg = dataclasses.replace(SystemConfig(), snr_db=None)
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_oracle_ls(inp, truth)
-        assert nmse_linear(report.H_hat, truth.H) < 1e-20
+        assert nmse_linear(dense(report.cols, report.values, truth.n_bs), truth.H) < 1e-20
 
     def test_error_scales_linearly_with_noise_power(self):
         # same seeds at 0 dB and 10 dB share every random draw, so the
@@ -630,8 +640,9 @@ class TestOracleLs:
             cfg10 = dataclasses.replace(cfg0, snr_db=10.0)
             _, _, truth0, _, inp0 = build_trial(cfg0, trial_index=trial)
             _, _, truth10, _, inp10 = build_trial(cfg10, trial_index=trial)
-            err0 = nmse_linear(estimate_oracle_ls(inp0, truth0).H_hat, truth0.H)
-            err10 = nmse_linear(estimate_oracle_ls(inp10, truth10).H_hat, truth10.H)
+            rep0, rep10 = estimate_oracle_ls(inp0, truth0), estimate_oracle_ls(inp10, truth10)
+            err0 = nmse_linear(dense(rep0.cols, rep0.values, truth0.n_bs), truth0.H)
+            err10 = nmse_linear(dense(rep10.cols, rep10.values, truth10.n_bs), truth10.H)
             ratios.append(err0 / err10)
         npt.assert_allclose(ratios, 10.0, rtol=1e-9)
 
@@ -645,7 +656,7 @@ class TestOracleLs:
         c = truth.col_support[0]
         rows = truth.row_patterns[0]
         expected = np.linalg.lstsq(setup.sensing_matrix[:, rows], meas.Y[0][:, c], rcond=None)[0]
-        npt.assert_array_equal(report.H_hat[0][rows, c], expected)
+        npt.assert_array_equal(report.values[0][rows, 0], expected)
 
     @pytest.mark.parametrize(
         "cfg",
@@ -670,12 +681,12 @@ class TestOracleLs:
             a = setup.sensing_matrix
             report = estimate_oracle_ls(inp, truth)
             for k, pattern in enumerate(truth.row_patterns):
-                expected = np.zeros_like(report.blocks[k].values)
+                expected = np.zeros_like(report.values[k])
                 for j, (c, offset) in enumerate(zip(truth.col_support, truth.offsets)):
-                    rows = np.sort(roll_map(offset, cfg.geometry)[pattern])
+                    rows = shift_indices(pattern, offset, cfg.geometry)
                     coef, _ = _batched_lstsq(a.T[rows][None], inp.Y[k][:, c][None])
                     expected[rows, j] = coef[0]
-                assert report.blocks[k].values.tobytes() == expected.tobytes()
+                assert report.values[k].tobytes() == expected.tobytes()
 
     def test_structure_fields_copy_truth(self):
         _, _, truth, _, inp = build_trial(SystemConfig())
@@ -692,8 +703,8 @@ class TestDegenerateEquivalences:
             _, _, _, _, inp = build_trial(cfg, trial_index=trial)
             triple = estimate_triple_structured(inp)
             row = estimate_row_structured(inp)
-            for a, b in zip(triple.H_hat, row.H_hat):
-                npt.assert_array_equal(a, b)
+            npt.assert_array_equal(triple.cols, row.cols)
+            npt.assert_array_equal(triple.values, row.values)
 
     def test_flat_planar_matches_linear_pipeline(self):
         ula = SystemConfig()
@@ -704,8 +715,8 @@ class TestDegenerateEquivalences:
             npt.assert_allclose(truth_p.H[0], truth_u.H[0], atol=1e-12)
             rep_u = estimate_triple_structured(inp_u)
             rep_p = estimate_triple_structured(inp_p)
-            for a, b in zip(rep_u.H_hat, rep_p.H_hat):
-                npt.assert_allclose(a, b, atol=1e-12)
+            npt.assert_array_equal(rep_p.cols, rep_u.cols)
+            npt.assert_allclose(rep_p.values, rep_u.values, atol=1e-12)
             assert [d for d, _ in rep_p.offsets] == list(rep_u.offsets)
 
 
@@ -740,7 +751,7 @@ def assert_order_independent(cfg, trial_index):
         inp = build_trial(cfg, trial_index)[4]
         for name in order:
             report = GREEDY[name](inp)
-            for part in ("H_hat", "col_support", "offsets", "row_patterns", "diagnostics"):
+            for part in ("cols", "values", "col_support", "offsets", "row_patterns", "diagnostics"):
                 assert_bitwise_equal(getattr(report, part), getattr(fresh[name], part))
 
 
@@ -780,7 +791,7 @@ class TestSharedColumnFits:
             calls.clear()
             estimate_row_structured(inp)
             assert calls == []
-            supports = estimate_conventional_omp(inp).diagnostics["per_user_col_support"]
+            supports = estimate_conventional_omp(inp).cols
             extra = sum(len(set(cols.tolist()) - joint) for cols in supports)
             assert calls == ([(extra, 1)] if extra else [])
             calls.clear()
@@ -818,14 +829,13 @@ class TestSharedColumnFits:
             per_user = top_l_indices(np.sum(np.abs(fresh.Y) ** 2, axis=1), fresh.n_columns)
             calls.clear()
             triple, row = reports["triple_structured"], reports["row_structured"]
-            assert row.col_support is triple.col_support
-            assert not triple.col_support.flags.writeable
+            # both shared-support estimates read the input's one read-only joint support
+            assert np.shares_memory(row.cols, triple.cols)
+            assert not triple.cols.flags.writeable
             npt.assert_array_equal(triple.col_support, expected)
-            assert_bitwise_equal(
-                reports["conventional_omp"].diagnostics["per_user_col_support"], list(per_user)
-            )
+            assert_bitwise_equal(reports["conventional_omp"].cols, per_user)
             fresh_oracle = estimate_oracle_ls(fresh, truth)
-            assert_bitwise_equal(oracle.H_hat, fresh_oracle.H_hat)
+            assert_bitwise_equal(oracle.values, fresh_oracle.values)
             calls.clear()
 
     def test_one_column_joint_pass_equals_the_memo_fit(self):
@@ -846,8 +856,8 @@ class TestSharedColumnFits:
             row = estimate_row_structured(inp)
             again = estimate_triple_structured(inp)
             fresh = estimate_triple_structured(build_trial(cfg, trial_index=trial)[4])
-            assert_bitwise_equal(row.H_hat, fresh.H_hat)
-            for part in ("H_hat", "row_patterns", "diagnostics"):
+            assert_bitwise_equal(row.values, fresh.values)
+            for part in ("cols", "values", "row_patterns", "diagnostics"):
                 assert_bitwise_equal(getattr(again, part), getattr(fresh, part))
             assert_bitwise_equal(fresh.row_patterns, [fit["anchors"] for fit in joint])
             assert_bitwise_equal(
@@ -857,7 +867,7 @@ class TestSharedColumnFits:
                 assert fresh.diagnostics[flag] == any(fit[flag] for fit in joint)
             for k, fit in enumerate(joint):
                 rows, coef = fit["columns"][0]
-                assert fresh.H_hat[k][rows, col].tobytes() == coef.tobytes()
+                assert fresh.values[k][rows, 0].tobytes() == coef.tobytes()
 
 
 class TestEdgeConfigurations:

@@ -19,10 +19,12 @@ import risce
 import risce.harness as harness
 from risce.channel import generate_channels
 from risce.config import MIN_SNR_DB, ArrayGeometry, SystemConfig
+from risce.estimators import EstimateReport
 from risce.harness import (
     CSV_HEADER,
     NMSE_FLOOR_DB,
     SweepResult,
+    _aligned,
     emit_results,
     load_results,
     nmse,
@@ -31,6 +33,7 @@ from risce.harness import (
     run_trial,
     trial_rng,
 )
+from risce.sensing import GroundTruth
 
 
 def small_config(**overrides):
@@ -104,6 +107,25 @@ class TestNmse:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             nmse_linear([np.ones((2, 2))], [np.ones((2, 3))])
+
+    @pytest.mark.parametrize(
+        "cols",
+        [[[1, 3, 4], [0, 1, 3]], [[1, 3], [2, 4]]],
+        ids=["one-user-on-other-columns", "other-column-count"],
+    )
+    def test_aligned_scores_the_dense_channels(self, cols):
+        # exact binary fractions, so any summation order gives the same NMSE
+        truth = GroundTruth(
+            values=np.arange(1.0, 13.0).reshape(2, 2, 3) / 4, col_support=np.array([1, 3, 4]),
+            row_patterns=[], offsets=[], n_bs=6,
+        )
+        cols = np.array(cols)
+        values = np.arange(2.0, 2.0 + cols.size * 2).reshape(2, 2, -1) / 8
+        report = EstimateReport(cols, values, None, None)
+        H_hat = np.zeros_like(truth.H)
+        for k in range(2):
+            H_hat[k][:, cols[k]] = values[k]
+        assert nmse_linear(*_aligned(report, truth)) == nmse_linear(H_hat, truth.H)
 
 
 class TestTrialRng:

@@ -18,6 +18,7 @@ from risce.sensing import (
     extract_ground_truth,
     generate_phase_schedule,
     make_sensing_setup,
+    roll_map,
     shift_indices,
     simulate_measurements,
 )
@@ -137,6 +138,28 @@ class TestShiftIndices:
         geometry = ArrayGeometry.upa(4, 8)
         # element (3, 7) shifted by (2, 3) wraps to (1, 2) -> flat 1*8+2
         npt.assert_array_equal(shift_indices(np.array([3 * 8 + 7]), (2, 3), geometry), [10])
+
+    @pytest.mark.parametrize(
+        "geometry, offsets",
+        [
+            (ArrayGeometry.ula(8), [0, 3, -3, 11]),
+            (ArrayGeometry.upa(4, 8), [(0, 0), (2, 3), (-1, -5), (5, 9)]),
+        ],
+        ids=["ula-8", "upa-4x8"],
+    )
+    def test_roll_map_row_c_moves_every_element_by_offset_c(self, geometry, offsets):
+        n1, n2 = geometry.n1, geometry.n2
+        expected = []
+        for offset in offsets:
+            d1, d2 = offset if geometry.is_planar else (offset, 0)
+            expected.append(
+                [((p // n2 + d1) % n1) * n2 + (p % n2 + d2) % n2 for p in range(n1 * n2)]
+            )
+        roll = roll_map(offsets, geometry)
+        assert roll.dtype == np.int_ and roll.tobytes() == np.array(expected).tobytes()
+        idx = np.array([5, 0, 17, 3]) % geometry.n_elements
+        for row, offset in zip(roll, offsets):
+            npt.assert_array_equal(np.sort(row[idx]), shift_indices(idx, offset, geometry))
 
 
 class TestExtractGroundTruth:

@@ -113,35 +113,49 @@ def per_user_measurements(truth, setup, snr_db, rng) -> list[np.ndarray]:
     averaged, then each user's noise drawn and its signal added in user order.
     """
     a = setup.sensing_matrix
-    signal = [a @ block.values for block in truth.blocks]
+    signal = [a @ values for values in truth.values]
     shape = (a.shape[0], truth.n_bs)
     variance = 0.0
     if not is_noiseless(snr_db):
         mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
         variance = mean_power / (shape[0] * shape[1] * snr_ratio(snr_db))
     Y = []
-    for block, s in zip(truth.blocks, signal):
+    for s in signal:
         if is_noiseless(snr_db):
             Y_k = np.zeros(shape, dtype=complex)
         else:
             scale = np.sqrt(variance / 2.0)
             Y_k = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        Y_k[:, block.cols] += s
+        Y_k[:, truth.col_support] += s
         Y.append(Y_k)
     return Y
 
 
-def block_flatnonzero(block) -> np.ndarray:
-    """np.flatnonzero of block.dense(), read from the block's own columns.
+def dense(cols, values, n_bs: int) -> np.ndarray:
+    """The dense users x N x n_bs channels of values (users x N x C) over cols.
 
-    np.nonzero walks the values row by row, and the block's columns ascend, so
-    the flat indices row * n_bs + column come out ascending, as in the dense array.
+    cols is users x C, or one length-C row shared by every user; every other
+    column is zero.  Written one user at a time, independently of the package.
     """
-    rows, j = np.nonzero(block.values)
-    return rows * block.n_bs + block.cols[j]
+    cols = np.broadcast_to(cols, (len(values), np.shape(cols)[-1]))
+    out = np.zeros((len(values), values.shape[1], n_bs), dtype=complex)
+    for k in range(len(values)):
+        for j, c in enumerate(cols[k]):
+            out[k, :, c] = values[k, :, j]
+    return out
 
 
-def structure_digest(report) -> str:
+def block_flatnonzero(cols, values, n_bs: int) -> np.ndarray:
+    """np.flatnonzero of one user's dense channel, read from its own columns.
+
+    np.nonzero walks the N x C values row by row, and cols ascend, so the flat
+    indices row * n_bs + column come out ascending, as in the dense array.
+    """
+    rows, j = np.nonzero(values)
+    return rows * n_bs + cols[j]
+
+
+def structure_digest(report, inp) -> str:
     """SHA-256 of an estimate's integer results, independent of its coefficients."""
 
     def ints(values):
@@ -153,7 +167,10 @@ def structure_digest(report) -> str:
         "row_patterns": (
             None if report.row_patterns is None else [ints(p) for p in report.row_patterns]
         ),
-        "nonzero": [ints(block_flatnonzero(block)) for block in report.blocks],
+        "nonzero": [
+            ints(block_flatnonzero(cols, values, inp.Y.shape[2]))
+            for cols, values in zip(report.cols, report.values, strict=True)
+        ],
     }
     return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
 
@@ -171,12 +188,15 @@ def check_report(report, inp) -> None:
     """Structural invariants every estimator output must satisfy."""
     n = inp.geometry.n_elements
     n_bs = inp.Y[0].shape[1]
-    assert len(report.H_hat) == len(inp.Y)
+    H_hat = dense(report.cols, report.values, n_bs)
+    assert len(H_hat) == len(inp.Y)
+    assert report.cols.shape == (len(inp.Y), report.values.shape[2])
+    assert np.all(np.diff(report.cols, axis=1) > 0), "each user's columns must ascend"
     col_support = np.asarray(report.col_support)
     assert col_support.ndim == 1
     assert np.array_equal(col_support, np.sort(col_support))
     assert np.array_equal(col_support, np.unique(col_support))
-    for H_k in report.H_hat:
+    for H_k in H_hat:
         assert H_k.shape == (n, n_bs)
         occupied = np.flatnonzero(np.max(np.abs(H_k), axis=0) > 0)
         assert np.all(np.isin(occupied, col_support)), "energy outside the reported columns"
@@ -184,7 +204,7 @@ def check_report(report, inp) -> None:
         from risce.sensing import shift_indices
 
         assert len(report.offsets) == col_support.size
-        for k, H_k in enumerate(report.H_hat):
+        for k, H_k in enumerate(H_hat):
             pattern = np.asarray(report.row_patterns[k])
             for j, c in enumerate(col_support):
                 allowed = shift_indices(pattern, report.offsets[j], inp.geometry)
