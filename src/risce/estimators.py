@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ArrayGeometry
+from .config import ArrayGeometry, _is_int
 from .numerics import circ_xcorr_2d, ls_solve, peak_shift_2d, top_l_indices
 from .sensing import GroundTruth, Offset, roll_map
 
@@ -53,19 +53,6 @@ class _Atoms:
         return self.rows.conj()
 
 
-class _ColumnFits(NamedTuple):
-    """One input's single-column pursuits, indexed [user, column]; done marks the fitted pairs.
-
-    rows and coef hold a fit's count entries first, zeros after.
-    """
-
-    done: np.ndarray  # users x n_bs
-    rows: np.ndarray  # users x n_bs x largest row budget
-    coef: np.ndarray  # users x n_bs x largest row budget
-    count: np.ndarray  # users x n_bs
-    deficient: np.ndarray  # users x n_bs: the fit's rank flag
-
-
 @dataclass
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
@@ -73,12 +60,12 @@ class EstimatorInput:
     Y must be one users x n_pilots x n_bs ndarray, and is kept as given, with
     no copy; anything else raises ValueError.  The input also computes, once,
     what several estimators read from it alone: the sensing matrix's atoms,
-    the per-user column power, the joint column support, and the
-    single-column pursuits.  The fit of user k's column c depends only on
-    (Y[k, :, c], sensing_matrix, row_counts[k]), so every estimator given the
-    same input reads one shared fit per (user, column) pair instead of fitting
-    it again.  The fields must not be changed once an estimator has run on the
-    input.
+    the per-user column power, both column detectors' picks, and the
+    single-column pursuits of every (user, column) pair they pick.  The fit of
+    user k's column c depends only on (Y[k, :, c], sensing_matrix,
+    row_counts[k]), so the pairs are fitted in one batch and every estimator
+    given the same input reads that one table.  The fields must not be changed
+    once an estimator has run on the input.
     """
 
     Y: np.ndarray  # users x n_pilots x n_bs measurements; Y[k] is user k's
@@ -91,17 +78,19 @@ class EstimatorInput:
         if not isinstance(self.Y, np.ndarray) or self.Y.ndim != 3 or len(self.Y) == 0:
             raise ValueError("measurements must be one users x n_pilots x n_bs array, users >= 1")
         _, n_pilots, n_bs = self.Y.shape
-        if self.sensing_matrix.ndim != 2 or self.sensing_matrix.shape[0] != n_pilots:
+        if not isinstance(self.sensing_matrix, np.ndarray) or self.sensing_matrix.ndim != 2:
+            raise ValueError("sensing_matrix must be one n_pilots x n_elements array")
+        if self.sensing_matrix.shape[0] != n_pilots:
             raise ValueError("sensing matrix row count must match the pilot length")
         if self.sensing_matrix.shape[1] != self.geometry.n_elements:
             raise ValueError("sensing matrix column count must match the reflector size")
-        if not 1 <= self.n_columns <= n_bs:
-            raise ValueError(f"n_columns must lie in [1, {n_bs}]")
+        if not _is_int(self.n_columns) or not 1 <= self.n_columns <= n_bs:
+            raise ValueError(f"n_columns must be an integer in [1, {n_bs}], got {self.n_columns!r}")
         if len(self.row_counts) != len(self.Y):
             raise ValueError("row_counts must list one budget per user")
         for k, count in enumerate(self.row_counts):
-            if not 1 <= count <= self.geometry.n_elements:
-                raise ValueError(f"user {k} row count {count} out of range")
+            if not _is_int(count) or not 1 <= count <= self.geometry.n_elements:
+                raise ValueError(f"row_counts[{k}] must be an integer in [1, N_I], got {count!r}")
         if self.n_columns * max(self.row_counts) > n_pilots:
             warnings.warn(
                 f"total atom budget {self.n_columns * max(self.row_counts)} exceeds the "
@@ -128,16 +117,29 @@ class EstimatorInput:
         return cols
 
     @cached_property
-    def _column_fits(self) -> _ColumnFits:
-        """The memo of single-column pursuits, empty until _per_column_report fills it."""
-        pairs, budget = (len(self.Y), self.Y.shape[2]), max(self.row_counts)
-        return _ColumnFits(
-            np.zeros(pairs, dtype=bool),
-            np.zeros((*pairs, budget), dtype=int),
-            np.zeros((*pairs, budget), dtype=complex),
-            np.zeros(pairs, dtype=int),
-            np.zeros(pairs, dtype=bool),
-        )
+    def _own_columns(self) -> np.ndarray:
+        """Each user's top n_columns columns of the shared power, users x n_columns; read-only."""
+        cols = top_l_indices(self._power, self.n_columns)
+        cols.flags.writeable = False
+        return cols
+
+    @cached_property
+    def _column_fits(self) -> tuple[_Pursuit, np.ndarray]:
+        """The single-column pursuit of every pair the column detectors pick, as (fit, slot).
+
+        The pairs are the joint support for every user and each user's own
+        columns, fitted user-major in one batch; slot[k, c] is the problem
+        index of user k's column c, and -1 where no detector picks the pair.
+        """
+        picked = np.zeros((len(self.Y), self.Y.shape[2]), dtype=bool)
+        picked[:, self._joint_columns] = True
+        np.put_along_axis(picked, self._own_columns, True, axis=1)
+        users, cols = np.nonzero(picked)
+        slot = np.full(picked.shape, -1)
+        slot[users, cols] = np.arange(users.size)
+        budgets = np.asarray(self.row_counts)[users]
+        fit = _pursue(self._atoms, self.Y[users, :, cols][:, None], budgets)  # problem x 1 x pilot
+        return fit, slot
 
 
 @dataclass
@@ -266,11 +268,11 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     """Greedy pursuit of B problems in lockstep against one dictionary's atoms.
 
     Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
-    working layout) with one anchor set; column c uses rows rolls[c][anchors]
-    (the anchors themselves when rolls is None).  Each step takes one a^H @ R
-    product over the live problems, scores every unused anchor by its
-    correlation power summed over the columns at its rolled rows, and picks the
-    first maximum per problem.  It then refits every (problem, column) on its
+    working layout) with one anchor set; column c uses rows rolls[c][anchors].
+    rolls=None means one column (C == 1) on the anchors themselves.  Each step
+    takes one a^H @ R product over the live problems, scores every unused
+    anchor by its correlation power summed over the columns at its rolled
+    rows, and picks the first maximum per problem.  It then refits every (problem, column) on its
     sorted rows with one _batched_lstsq call, a batched Gram solve with at most
     k + 1 unknowns at step k, so no incremental factorisation is kept between
     steps.  The oracle refits through the same function, and a refit depends
@@ -281,8 +283,6 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     """
     n, t = atoms.rows.shape
     n_prob, n_cols, _ = Y.shape
-    if rolls is None and n_cols > 1:
-        rolls = np.broadcast_to(np.arange(n), (n_cols, n))
     budgets = np.asarray(budgets, dtype=int)
     kmax = int(budgets.max(initial=0))
     ends = set(budgets.tolist())
@@ -365,8 +365,8 @@ def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or y.ndim != 1 or y.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {y.shape}")
-    if sparsity < 0:
-        raise ValueError("sparsity must be non-negative")
+    if not _is_int(sparsity) or sparsity < 0:
+        raise ValueError(f"sparsity must be a non-negative integer, got {sparsity!r}")
     fit = _pursue(_Atoms(a), y[None, None], [sparsity])
     m = fit.count[0]
     out = np.zeros(a.shape[1], dtype=complex)
@@ -426,8 +426,8 @@ def offset_structured_somp(
         raise ValueError(f"incompatible shapes {a.shape} and {y_cols.shape}")
     if len(offsets) != y_cols.shape[1]:
         raise ValueError("one offset per retained column is required")
-    if n_rows < 0:
-        raise ValueError("n_rows must be non-negative")
+    if not _is_int(n_rows) or n_rows < 0:
+        raise ValueError(f"n_rows must be a non-negative integer, got {n_rows!r}")
     return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], roll_map(offsets, geometry)), 0)
 
 
@@ -448,23 +448,13 @@ def _assemble(inp: EstimatorInput, rows, coef, count) -> np.ndarray:
 def _per_column_report(inp: EstimatorInput, col_sets) -> EstimateReport:
     """Each of user k's columns col_sets[k] recovered alone, by its single-column pursuit.
 
-    The per-column body of both baselines and of the structured estimator's
-    coarse pass; col_sets is users x C, each row ascending.  The pairs not yet
-    in inp's memo are fitted user-major in one batch and stored there.
+    The per-column body of both baselines, read from inp's fit table; col_sets
+    is users x C, each row ascending, and one of the column detectors' picks.
     """
-    fits = inp._column_fits
-    pairs = (np.arange(len(col_sets))[:, None], col_sets)  # users x C fancy index
-    users, at = np.nonzero(~fits.done[pairs])
-    if users.size:
-        cols = col_sets[users, at]
-        budgets = np.asarray(inp.row_counts)[users]
-        fit = _pursue(inp._atoms, inp.Y[users, :, cols][:, None], budgets)  # problem x 1 x pilot
-        kmax = fit.rows.shape[2]
-        fits.rows[users, cols, :kmax], fits.coef[users, cols, :kmax] = fit.rows[:, 0], fit.coef[:, 0]
-        fits.count[users, cols], fits.deficient[users, cols] = fit.count, fit.deficient
-        fits.done[users, cols] = True
-    values = _assemble(inp, fits.rows[pairs], fits.coef[pairs], fits.count[pairs])
-    diagnostics = {"rank_deficient": bool(fits.deficient[pairs].any())}
+    fit, slot = inp._column_fits
+    b = slot[np.arange(len(col_sets))[:, None], col_sets]  # users x C problem indices
+    values = _assemble(inp, fit.rows[b, 0], fit.coef[b, 0], fit.count[b])
+    diagnostics = {"rank_deficient": bool(fit.deficient[b].any())}
     return EstimateReport(col_sets, values, None, None, diagnostics)  # no offsets or patterns
 
 
@@ -472,13 +462,12 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     """Three-stage structured estimator.
 
     Stage 1 detects the shared column support from summed measurement power.
-    Stage 2 runs per-column OMP to obtain coarse columns, from which stage 3
-    estimates the shared circular-shift offsets; the final stage re-estimates
-    every user with the offset-coupled joint greedy recovery.
+    Stage 2 is the row-structured baseline, whose per-column OMP gives the
+    coarse columns from which stage 3 estimates the shared circular-shift
+    offsets; the final stage re-estimates every user with the offset-coupled
+    joint greedy recovery.
     """
-    cols = inp._joint_columns
-    col_sets = np.broadcast_to(cols, (len(inp.Y), cols.size))
-    coarse = _per_column_report(inp, col_sets)
+    coarse = estimate_row_structured(inp)
     diagnostics: dict = {"offset_fallback": []}
     try:
         offsets = estimate_common_offsets(coarse.values, inp.geometry)
@@ -486,12 +475,13 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
         offsets = err.offsets
         diagnostics["offset_fallback"] = list(err.failed)
     rolls = roll_map(offsets, inp.geometry)
-    fit = _pursue(inp._atoms, np.swapaxes(inp.Y, 1, 2)[:, cols], inp.row_counts, rolls)
+    Y = np.swapaxes(inp.Y, 1, 2)[:, inp._joint_columns]
+    fit = _pursue(inp._atoms, Y, inp.row_counts, rolls)
     diagnostics["rank_deficient"] = bool(fit.deficient.any())
     diagnostics["group_collision"] = bool(fit.collision.any())
     diagnostics["residual_history"] = [h[:m] for h, m in zip(fit.history, fit.count)]
     return EstimateReport(
-        cols=col_sets,
+        cols=coarse.cols,
         values=_assemble(inp, fit.rows, fit.coef, fit.count[:, None]),
         offsets=offsets,
         row_patterns=[anchors[:m] for anchors, m in zip(fit.anchors, fit.count)],
@@ -519,7 +509,7 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
     top_l_indices call over every user's column powers, ties to the smallest
     index, as in the joint detection.
     """
-    return _per_column_report(inp, top_l_indices(inp._power, inp.n_columns))
+    return _per_column_report(inp, inp._own_columns)
 
 
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:

@@ -37,6 +37,22 @@ def unit_column_dictionary(rng, t, n):
     return a / np.linalg.norm(a, axis=0, keepdims=True)
 
 
+# a budget or matrix of the wrong type, named by the field its ValueError starts with
+NOT_INTEGER = {
+    "sparsity-float": ("sparsity", lambda y, a, build: coarse_omp(y[:, 0], a, 2.7)),
+    "sparsity-bool": ("sparsity", lambda y, a, build: coarse_omp(y[:, 0], a, True)),
+    "n-rows-float": (
+        "n_rows",
+        lambda y, a, build: offset_structured_somp(y, a, [0, 1], 2.7, ArrayGeometry.ula(32)),
+    ),
+    "row-count-bool": ("row_counts", lambda y, a, build: build(row_counts=[True, 2])),
+    "row-count-float": ("row_counts", lambda y, a, build: build(row_counts=[2.5, 2])),
+    "n-columns-bool": ("n_columns", lambda y, a, build: build(n_columns=True)),
+    "n-columns-float": ("n_columns", lambda y, a, build: build(n_columns=1.5)),
+    "matrix-list": ("sensing_matrix", lambda y, a, build: build(sensing_matrix=a.tolist())),
+}
+
+
 class TestEstimatorInput:
     def test_rejects_empty_measurements(self):
         with pytest.raises(ValueError):
@@ -78,6 +94,26 @@ class TestEstimatorInput:
                 row_counts=[1],
                 geometry=ArrayGeometry.ula(8),
             )
+
+    @pytest.mark.parametrize("field, call", NOT_INTEGER.values(), ids=NOT_INTEGER)
+    def test_rejects_budgets_that_are_not_integers(self, field, call):
+        rng = np.random.default_rng(3)
+        a = unit_column_dictionary(rng, 16, 32)
+        y = rng.standard_normal((16, 2)) + 1j * rng.standard_normal((16, 2))
+        fields = dict(
+            Y=np.stack([y, y]),
+            sensing_matrix=a,
+            n_columns=2,
+            row_counts=[2, 2],
+            geometry=ArrayGeometry.ula(32),
+        )
+        EstimatorInput(**fields)  # the unchanged fields are accepted
+
+        def build(**changes):
+            return EstimatorInput(**{**fields, **changes})
+
+        with pytest.raises(ValueError, match=f"^{field}"):
+            call(y, a, build)
 
     def test_warns_when_budget_exceeds_pilots(self):
         with pytest.warns(RuntimeWarning) as record:
@@ -786,15 +822,21 @@ class TestSharedColumnFits:
         for trial in (0, 5, 9, 10):
             _, _, _, _, inp = build_trial(cfg, trial_index=trial)
             joint = set(estimate_triple_structured(inp).col_support.tolist())
-            # the coarse pass over the joint support, then the offset-coupled pass
-            assert calls == [(cfg.n_users * cfg.bs_paths, 1), (cfg.n_users, cfg.bs_paths)]
+            own = estimate_conventional_omp(inp).cols
+            extra = sum(len(set(cols.tolist()) - joint) for cols in own)
+            # one batch of every pair either detector picks, then the offset-coupled pass
+            batch = (cfg.n_users * cfg.bs_paths + extra, 1)
+            assert calls == [batch, (cfg.n_users, cfg.bs_paths)]
             calls.clear()
             estimate_row_structured(inp)
+            estimate_conventional_omp(inp)
             assert calls == []
-            supports = estimate_conventional_omp(inp).cols
-            extra = sum(len(set(cols.tolist()) - joint) for cols in supports)
-            assert calls == ([(extra, 1)] if extra else [])
-            calls.clear()
+            # the batch holds each picked pair once, user-major
+            _, slot = inp._column_fits
+            users, cols = np.nonzero(slot >= 0)
+            pairs = {(k, c) for k, cols_k in enumerate(own) for c in joint | set(cols_k.tolist())}
+            assert set(zip(users.tolist(), cols.tolist())) == pairs
+            assert slot[users, cols].tolist() == list(range(batch[0]))
             extra_total += extra
         assert extra_total > 0, "no trial exercised a column outside the joint support"
 
@@ -804,39 +846,68 @@ class TestSharedColumnFits:
         ids=["ula-t32", "upa-16x16"],
     )
     def test_each_per_input_operand_is_computed_once(self, cfg, monkeypatch):
-        calls = []  # names of the per-input reductions, one entry per call
+        calls = []  # names of the per-input computations, one entry per call
 
         def counting(name):
             original = getattr(estimators, name)
 
-            def count(x):
-                calls.append(name)
-                return original(x)
+            def count(*args):
+                # a _pursue call with a roll table is the structured estimator's joint pass
+                if name != "_pursue" or len(args) == 3:
+                    calls.append(name)
+                return original(*args)
 
             return count
 
-        for name in ("_column_power", "_Atoms"):
+        for name in ("_column_power", "_Atoms", "_pursue"):
             monkeypatch.setattr(estimators, name, counting(name))
         # trials 5 and 9 prune columns per user outside the joint support
         for trial in (0, 5, 9):
             _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
-            oracle = estimate_oracle_ls(inp, truth)
-            reports = {name: estimate(inp) for name, estimate in GREEDY.items()}
-            assert sorted(calls) == ["_Atoms", "_column_power"]
-            calls.clear()
             fresh = build_trial(cfg, trial_index=trial)[4]
             expected = joint_column_support(fresh.Y, fresh.n_columns)
             per_user = top_l_indices(np.sum(np.abs(fresh.Y) ** 2, axis=1), fresh.n_columns)
-            calls.clear()
-            triple, row = reports["triple_structured"], reports["row_structured"]
-            # both shared-support estimates read the input's one read-only joint support
-            assert np.shares_memory(row.cols, triple.cols)
-            assert not triple.cols.flags.writeable
-            npt.assert_array_equal(triple.col_support, expected)
-            assert_bitwise_equal(reports["conventional_omp"].cols, per_user)
             fresh_oracle = estimate_oracle_ls(fresh, truth)
-            assert_bitwise_equal(oracle.values, fresh_oracle.values)
             calls.clear()
+            for order in itertools.permutations(GREEDY):
+                inp = build_trial(cfg, trial_index=trial)[4]
+                oracle = estimate_oracle_ls(inp, truth)
+                reports = {name: GREEDY[name](inp) for name in order}
+                # one atoms, one column power and one single-column batch per input
+                assert sorted(calls) == ["_Atoms", "_column_power", "_pursue"]
+                calls.clear()
+                triple, row = reports["triple_structured"], reports["row_structured"]
+                conventional = reports["conventional_omp"]
+                # both shared-support estimates read the input's one read-only joint support
+                assert np.shares_memory(row.cols, triple.cols)
+                assert not triple.cols.flags.writeable
+                npt.assert_array_equal(triple.col_support, expected)
+                # and conventional_omp reports the input's read-only per-user columns
+                assert np.shares_memory(conventional.cols, inp._own_columns)
+                assert not inp._own_columns.flags.writeable
+                assert_bitwise_equal(conventional.cols, per_user)
+                assert_bitwise_equal(oracle.values, fresh_oracle.values)
+
+    def test_oracle_only_trial_fits_nothing(self, monkeypatch):
+        # an oracle-only trial, as the oracle_snr benchmark runs, builds no fit table
+        calls = []
+
+        def forbidden(name):
+            def record(*args):
+                calls.append(name)
+                raise AssertionError(f"{name} ran")
+
+            return record
+
+        monkeypatch.setattr(estimators, "_pursue", forbidden("_pursue"))
+        monkeypatch.setattr(EstimatorInput, "_column_fits", property(forbidden("_column_fits")))
+        for trial in range(3):
+            result = run_trial(SystemConfig(estimators=("oracle_ls",)), trial)
+            assert result.errors == {} and sorted(result.nmse_lin) == ["oracle_ls"]
+        assert calls == []
+        # a greedy estimator in the same trial does read the table
+        result = run_trial(SystemConfig(estimators=("oracle_ls", "row_structured")), 0)
+        assert sorted(result.nmse_lin) == ["oracle_ls"] and calls == ["_column_fits"]
 
     def test_one_column_joint_pass_equals_the_memo_fit(self):
         cfg = SystemConfig(bs_paths=1)
@@ -848,7 +919,7 @@ class TestSharedColumnFits:
             fit = _pursue(_Atoms(inp.sensing_matrix), Y, inp.row_counts, rolls)
             joint = [_problem(fit, k) for k in range(len(Y))]
             triple = estimate_triple_structured(inp)
-            # the report's arrays are copies: changing them leaves the memo intact
+            # the report's arrays are copies: changing them leaves the input's fit table intact
             histories = triple.diagnostics["residual_history"]
             for pattern, history in zip(triple.row_patterns, histories):
                 pattern[:] = -1
