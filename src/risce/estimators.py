@@ -24,20 +24,6 @@ from .sensing import GroundTruth, Offset, roll_map
 # the benchmark tracer wraps this name on this module, so it stays imported here
 from .numerics import circ_xcorr_1d  # noqa: F401
 
-__all__ = [
-    "EstimatorInput",
-    "EstimateReport",
-    "OffsetUndetermined",
-    "joint_column_support",
-    "coarse_omp",
-    "estimate_common_offsets",
-    "offset_structured_somp",
-    "estimate_triple_structured",
-    "estimate_row_structured",
-    "estimate_conventional_omp",
-    "estimate_oracle_ls",
-]
-
 
 class _Atoms:
     """A T x N dictionary's atoms as the rows of one N x T array, and their conjugates.
@@ -78,6 +64,8 @@ class EstimatorInput:
         if not isinstance(self.Y, np.ndarray) or self.Y.ndim != 3 or len(self.Y) == 0:
             raise ValueError("measurements must be one users x n_pilots x n_bs array, users >= 1")
         _, n_pilots, n_bs = self.Y.shape
+        if not isinstance(self.geometry, ArrayGeometry):
+            raise ValueError(f"geometry must be an ArrayGeometry, got {self.geometry!r}")
         if not isinstance(self.sensing_matrix, np.ndarray) or self.sensing_matrix.ndim != 2:
             raise ValueError("sensing_matrix must be one n_pilots x n_elements array")
         if self.sensing_matrix.shape[0] != n_pilots:
@@ -86,9 +74,12 @@ class EstimatorInput:
             raise ValueError("sensing matrix column count must match the reflector size")
         if not _is_int(self.n_columns) or not 1 <= self.n_columns <= n_bs:
             raise ValueError(f"n_columns must be an integer in [1, {n_bs}], got {self.n_columns!r}")
-        if len(self.row_counts) != len(self.Y):
+        counts = self.row_counts
+        if not isinstance(counts, list | tuple | np.ndarray) or getattr(counts, "ndim", 1) != 1:
+            raise ValueError(f"row_counts must be a per-user sequence of budgets, got {counts!r}")
+        if len(counts) != len(self.Y):
             raise ValueError("row_counts must list one budget per user")
-        for k, count in enumerate(self.row_counts):
+        for k, count in enumerate(counts):
             if not _is_int(count) or not 1 <= count <= self.geometry.n_elements:
                 raise ValueError(f"row_counts[{k}] must be an integer in [1, N_I], got {count!r}")
         if self.n_columns * max(self.row_counts) > n_pilots:

@@ -46,51 +46,52 @@ ESTIMATORS = {
 }
 
 
-def nmse_linear(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
-    """Total squared error over total true energy, summed over users."""
+def _energy(H: np.ndarray) -> float:
+    """Squared norm of a complex array, summed in an order set by its shape alone.
+
+    Not by BLAS: OpenBLAS splits a dot product of over 10,000 elements across
+    its threads, and the score would then follow the thread count.
+    """
+    flat = H.reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def nmse_linear(H_hat: np.ndarray, H_true: np.ndarray) -> float:
+    """Total squared error over total true energy, pooled over users.
+
+    Both are users-axis arrays of one shape; a list of equal-shape per-user
+    arrays is read as their stack, and a ragged one raises ValueError.
+    """
+    H_hat, H_true = np.asarray(H_hat, dtype=complex), np.asarray(H_true, dtype=complex)
     if len(H_hat) != len(H_true):
         raise ValueError("estimate and truth must cover the same users")
-    err = 0.0
-    energy = 0.0
-    for est, true in zip(H_hat, H_true):
-        if est.shape != true.shape:
-            raise ValueError(f"shape mismatch {est.shape} vs {true.shape}")
-        diff = est - true
-        err += float(np.vdot(diff, diff).real)
-        energy += float(np.vdot(true, true).real)
+    if H_hat.shape != H_true.shape:
+        raise ValueError(f"shape mismatch {H_hat.shape} vs {H_true.shape}")
+    energy = _energy(H_true)
     if energy == 0.0:
         raise ValueError("true channels are identically zero; NMSE is undefined")
-    return err / energy
+    return _energy(H_hat - H_true) / energy
 
 
-def _widened(values: np.ndarray, cols: np.ndarray, union: np.ndarray) -> np.ndarray:
-    """A new N x len(union) array of the channel that values holds over cols, a subset of union."""
-    out = np.zeros((values.shape[0], union.size), dtype=complex)
-    out[:, np.searchsorted(union, cols)] = values
-    return out
+def _aligned(report: EstimateReport, truth: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate and truth as two equal-shape users-axis arrays, for nmse_linear.
 
-
-def _aligned(
-    report: EstimateReport, truth: GroundTruth
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-user estimate and truth over the union of their columns, for nmse_linear.
-
-    The columns outside the union are zero in both, so the NMSE is that of the
-    dense channels.  The users whose columns equal the truth's are scored on
-    their values as they are; only the others are widened to the union.
+    When every user's columns are the truth's, these are the values as they
+    are.  Otherwise both are widened once: slot i holds the truth's column i,
+    and the slots after them each user's own other columns, zero-padded to the
+    user with the most.  A column outside a user's own and the truth's is zero
+    in both, so the NMSE is that of the dense channels.
     """
-    same = np.zeros(len(report.cols), dtype=bool)
-    if report.cols.shape[1] == truth.col_support.size:
-        same = np.all(report.cols == truth.col_support, axis=1)
-    H_hat, H_true = [], []
-    for match, cols, est, true in zip(same, report.cols, report.values, truth.values, strict=True):
-        if match:
-            H_hat.append(est)
-            H_true.append(true)
-        else:
-            union = np.union1d(cols, truth.col_support)
-            H_hat.append(_widened(est, cols, union))
-            H_true.append(_widened(true, truth.col_support, union))
+    cols, support = report.cols, truth.col_support
+    if cols.shape[1] == support.size and (cols == support).all():
+        return report.values, truth.values
+    match = cols[:, :, None] == support  # users x C x len(support)
+    other = ~match.any(axis=2)
+    slot = np.where(other, support.size + np.cumsum(other, axis=1) - 1, match.argmax(axis=2))
+    H_hat = np.zeros((*report.values.shape[:2], support.size + other.sum(axis=1).max()), complex)
+    H_hat[np.arange(len(cols))[:, None], :, slot] = report.values.transpose(0, 2, 1)
+    H_true = np.zeros_like(H_hat)
+    H_true[:, :, : support.size] = truth.values
     return H_hat, H_true
 
 
@@ -100,7 +101,7 @@ def _to_db(mean_linear: float) -> float:
     return max(10.0 * math.log10(mean_linear), NMSE_FLOOR_DB)
 
 
-def nmse(H_hat: list[np.ndarray], H_true: list[np.ndarray]) -> float:
+def nmse(H_hat: np.ndarray, H_true: np.ndarray) -> float:
     """NMSE in dB, floored at NMSE_FLOOR_DB so exact recovery stays finite."""
     return _to_db(nmse_linear(H_hat, H_true))
 

@@ -9,15 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "circ_xcorr_1d",
-    "circ_xcorr_2d",
-    "ls_solve",
-    "top_l_indices",
-    "signed_shift",
-    "peak_shift_2d",
-]
-
 
 def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Magnitudes of the periodic cross-correlation of two equal-length vectors.

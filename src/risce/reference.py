@@ -9,6 +9,8 @@ an FFT.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import ChannelRealization, RisIndex
@@ -88,5 +90,13 @@ def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, geometry: ArrayGeometry) 
     f_bs is the unitary DFT of the BS array and f_ris = kron(dft(n1), dft(n2)).
     """
     spatial = cascade_spatial(G, h_k)
-    f_ris = np.kron(dft_matrix(geometry.n1), dft_matrix(geometry.n2))
-    return f_ris @ spatial.conj().T @ dft_matrix(G.shape[0]).conj().T
+    f_ris, f_bs_h = _beamspace_transforms(G.shape[0], geometry.n1, geometry.n2)
+    return f_ris @ spatial.conj().T @ f_bs_h
+
+
+@functools.cache
+def _beamspace_transforms(n_bs: int, n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f_ris, f_bs^H) of beamspace_cascaded per array shape; read-only, as calls share them."""
+    f_ris, f_bs_h = np.kron(dft_matrix(n1), dft_matrix(n2)), dft_matrix(n_bs).conj().T
+    f_ris.flags.writeable = f_bs_h.flags.writeable = False
+    return f_ris, f_bs_h

@@ -115,6 +115,22 @@ class TestEstimatorInput:
         with pytest.raises(ValueError, match=f"^{field}"):
             call(y, a, build)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("row_counts", 5), ("row_counts", {2, 3}), ("geometry", None), ("geometry", 8)],
+        ids=["row-counts-int", "row-counts-set", "geometry-none", "geometry-int"],
+    )
+    def test_rejects_malformed_fields_by_name(self, field, value):
+        fields = dict(
+            Y=np.ones((2, 4, 3)),
+            sensing_matrix=np.ones((4, 8)),
+            n_columns=1,
+            row_counts=[1, 1],
+            geometry=ArrayGeometry.ula(8),
+        )
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            EstimatorInput(**{**fields, field: value})
+
     def test_warns_when_budget_exceeds_pilots(self):
         with pytest.warns(RuntimeWarning) as record:
             EstimatorInput(

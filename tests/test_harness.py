@@ -108,10 +108,22 @@ class TestNmse:
         with pytest.raises(ValueError):
             nmse_linear([np.ones((2, 2))], [np.ones((2, 3))])
 
+    def test_users_axis_arrays(self):
+        truth = np.ones((2, 3, 2), dtype=complex)
+        est = truth.copy()
+        est[1, 2, 0] += 0.5j
+        # error 0.25 over energy 12, pooled over both users
+        assert nmse_linear(est, truth) == 0.25 / 12.0
+
+    def test_ragged_users_rejected(self):
+        ragged = [np.ones((2, 2)), np.ones((2, 3))]
+        with pytest.raises(ValueError):
+            nmse_linear(ragged, ragged)
+
     @pytest.mark.parametrize(
         "cols",
-        [[[1, 3, 4], [0, 1, 3]], [[1, 3], [2, 4]]],
-        ids=["one-user-on-other-columns", "other-column-count"],
+        [[[1, 3, 4], [0, 1, 3]], [[1, 3], [2, 4]], [[1, 3, 4], [1, 3, 4]]],
+        ids=["one-user-on-other-columns", "other-column-count", "every-user-on-the-truth"],
     )
     def test_aligned_scores_the_dense_channels(self, cols):
         # exact binary fractions, so any summation order gives the same NMSE
