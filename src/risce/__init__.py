@@ -5,7 +5,6 @@ from .config import DEFAULT_ESTIMATORS, ArrayGeometry, SystemConfig
 from .estimators import (
     EstimateReport,
     EstimatorInput,
-    OffsetUndetermined,
     coarse_omp,
     estimate_common_offsets,
     estimate_conventional_omp,

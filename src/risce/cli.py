@@ -203,10 +203,6 @@ def main(argv: list[str] | None = None) -> int:
 
     axis = "snr" if args.command == "sweep-snr" else "pilot_length"
     values = [config.n_pilots] if args.command == "single" else args.values
-    if not values:
-        print("error: no axis values given", file=sys.stderr)
-        return 1
-
     try:
         result = run_sweep(config, axis, values)
     except ValueError as exc:

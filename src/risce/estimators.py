@@ -39,7 +39,7 @@ class _Atoms:
         return self.rows.conj()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorInput:
     """Everything an estimator may use: measurements, sensing matrix, and sparsity budgets.
 
@@ -50,8 +50,9 @@ class EstimatorInput:
     single-column pursuits of every (user, column) pair they pick.  The fit of
     user k's column c depends only on (Y[k, :, c], sensing_matrix,
     row_counts[k]), so the pairs are fitted in one batch and every estimator
-    given the same input reads that one table.  The fields must not be changed
-    once an estimator has run on the input.
+    given the same input reads that one table.  The input is frozen, so no
+    field can be reassigned under those cached operands; Y is not copied, so
+    its contents must not be changed either.
     """
 
     Y: np.ndarray  # users x n_pilots x n_bs measurements; Y[k] is user k's
@@ -155,19 +156,6 @@ class EstimateReport:
         return np.unique(self.cols)
 
 
-class OffsetUndetermined(RuntimeError):
-    """Offset estimation found no correlation mass for at least one column.
-
-    Carries the partial result: `offsets` holds zero shifts for the columns
-    listed in `failed`, so callers can fall back and continue.
-    """
-
-    def __init__(self, offsets: list[Offset], failed: list[int]):
-        super().__init__(f"offset undetermined for columns {failed}")
-        self.offsets = offsets
-        self.failed = failed
-
-
 def _column_power(Y) -> np.ndarray:
     """users x n_bs measurement power per column, from a users x n_pilots x n_bs stack."""
     return np.sum(np.abs(Y) ** 2, axis=1)
@@ -246,8 +234,7 @@ def _batched_lstsq(atoms: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.nd
 class _Pursuit(NamedTuple):
     """_pursue's results for its B problems; problem b's entries past count[b] are zero."""
 
-    anchors: np.ndarray  # B x kmax: the anchors, ascending
-    rows: np.ndarray  # B x C x kmax: each column's rows, ascending
+    rows: np.ndarray  # B x C x kmax: each column's rows, ascending; column 0's are the anchors
     coef: np.ndarray  # B x C x kmax: each column's coefficients on its rows
     count: np.ndarray  # B: anchors picked
     history: np.ndarray  # B x kmax x C: each column's residual norm after each step
@@ -260,10 +247,12 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
 
     Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
     working layout) with one anchor set; column c uses rows rolls[c][anchors].
-    rolls=None means one column (C == 1) on the anchors themselves.  Each step
-    takes one a^H @ R product over the live problems, scores every unused
-    anchor by its correlation power summed over the columns at its rolled
-    rows, and picks the first maximum per problem.  It then refits every (problem, column) on its
+    rolls is the C x n table roll_map builds, and its row 0 must be the
+    identity: column 0 is the reference, whose rows are the anchors.
+    rolls=None is the one-column table, the identity alone.  Each step takes
+    one a^H @ R product over the live problems, scores every unused anchor by
+    its correlation power summed over the columns at its rolled rows, and
+    picks the first maximum per problem.  It then refits every (problem, column) on its
     sorted rows with one _batched_lstsq call, a batched Gram solve with at most
     k + 1 unknowns at step k, so no incremental factorisation is kept between
     steps.  The oracle refits through the same function, and a refit depends
@@ -274,6 +263,9 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     """
     n, t = atoms.rows.shape
     n_prob, n_cols, _ = Y.shape
+    if rolls is None:
+        rolls = np.arange(n)[None]
+    table = rolls.T  # n x C: row p lists the rows anchor p selects, column 0's being p itself
     budgets = np.asarray(budgets, dtype=int)
     kmax = int(budgets.max(initial=0))
     ends = set(budgets.tolist())
@@ -281,7 +273,7 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     resid = ys.copy()
     rows = np.zeros((n_prob, n_cols, kmax), dtype=int)
     coef = np.zeros((n_prob, n_cols, kmax), dtype=complex)
-    anchors, history = np.zeros((n_prob, kmax), dtype=int), np.zeros((n_prob, kmax, n_cols))
+    history = np.zeros((n_prob, kmax, n_cols))
     count = np.zeros(n_prob, dtype=int)
     deficient = np.zeros(n_prob, dtype=bool)
     used = np.zeros((n, n_prob), dtype=bool)
@@ -292,14 +284,10 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
             live = sel = live[budgets[live] > k]
             if live.size == 0:
                 break
-        power = np.abs(atoms.conj @ resid[sel].reshape(-1, t).T) ** 2
-        if rolls is None:
-            metric = power  # n x live: one column on the anchors' own rows
-        else:
-            power = power.reshape(n, -1, n_cols)
-            metric = power[rolls[0], :, 0]
-            for c in range(1, n_cols):
-                metric = metric + power[rolls[c], :, c]
+        power = (np.abs(atoms.conj @ resid[sel].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
+        metric = power[:, :, 0]  # n x live: the reference column on the anchors' own rows
+        for c in range(1, n_cols):
+            metric = metric + power[rolls[c], :, c]
         metric[used[:, sel]] = -np.inf
         best = np.argmax(metric, axis=0)
         hit = metric[best, np.arange(best.size)] > 0.0
@@ -309,40 +297,34 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
             if live.size == 0:
                 break
         used[best, live] = True
-        anchors[sel, k] = best
-        picks = anchors[sel, : k + 1]  # a view while sel is a slice, else a copy
+        rows[sel, 0, k] = best
+        picks = rows[sel, 0, : k + 1]  # a view while sel is a slice, else a copy
         picks.sort(axis=1)
-        if sel is live:
-            anchors[live, : k + 1] = picks
-        if rolls is None:
-            picked = picks[:, None]
-        else:
-            picked = rolls.T[picks]  # live x (k+1) x C, from the n x C roll table
-            picked.sort(axis=1)
-            picked = np.swapaxes(picked, 1, 2)
+        picked = table[picks]  # live x (k+1) x C; column 0 is picks, already sorted
+        picked[:, :, 1:].sort(axis=1)
+        picked = picked.swapaxes(1, 2)
         gathered = atoms.rows[picked].reshape(-1, k + 1, t)  # (live * C) x (k+1) x T
         y_live = ys[sel].reshape(-1, t)
         x, flags = _batched_lstsq(gathered, y_live)
         r = y_live - (np.swapaxes(gathered, 1, 2) @ x[:, :, None])[:, :, 0]
         resid[sel] = r.reshape(-1, n_cols, t)
-        rows[sel, :, : k + 1] = picked
+        rows[sel, :, : k + 1] = picked  # column 0 too: picks is a copy once sel is live
         coef[sel, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
         history[sel, k] = np.linalg.norm(r, axis=-1).reshape(-1, n_cols)
         count[sel] = k + 1
         deficient[sel] |= flags.reshape(-1, n_cols).any(axis=1)
-    if rolls is None:  # the anchors themselves, which are distinct
-        collision = np.zeros(n_prob, dtype=bool)
-    else:  # two equal neighbours among a problem's first count[b] sorted rows of some column
-        valid = np.arange(max(kmax - 1, 0)) < (count - 1)[:, None]
-        collision = np.any((np.diff(rows, axis=2) == 0) & valid[:, None, :], axis=(1, 2))
-    return _Pursuit(anchors, rows, coef, count, history, deficient, collision)
+    # two equal neighbours among a problem's first count[b] sorted rows of some rolled column;
+    # the anchors, column 0, are distinct
+    equal = (rows[:, 1:, 1:] == rows[:, 1:, :-1]).any(axis=1)
+    collision = (equal & (np.arange(1, kmax) < count[:, None])).any(axis=1)
+    return _Pursuit(rows, coef, count, history, deficient, collision)
 
 
 def _problem(fit: _Pursuit, b: int) -> dict:
     """Problem b of a pursuit, as offset_structured_somp returns it; its arrays are views."""
     m = fit.count[b]
     return {
-        "anchors": fit.anchors[b, :m],
+        "anchors": fit.rows[b, 0, :m],
         "columns": [(rows[:m], coef[:m]) for rows, coef in zip(fit.rows[b], fit.coef[b])],
         "residual_history": fit.history[b, :m],
         "rank_deficient": bool(fit.deficient[b]),
@@ -367,7 +349,7 @@ def coarse_omp(y: np.ndarray, a: np.ndarray, sparsity: int) -> np.ndarray:
 
 def estimate_common_offsets(
     coarse_cols: list[np.ndarray] | np.ndarray, geometry: ArrayGeometry
-) -> list[Offset]:
+) -> tuple[list[Offset], list[int]]:
     """Shared circular shifts between the first retained column and each other one.
 
     coarse_cols holds every user's n_elements x C coarse columns, as a list or
@@ -376,9 +358,9 @@ def estimate_common_offsets(
     circular correlation of every user's reference column against each of its
     columns gives a map per (user, column); the maps are summed over users, in
     user order, and each column's offset is the per-axis signed lag of its
-    peak.  The first column is the reference (zero shift).  Raises
-    OffsetUndetermined, carrying zero-shift fallbacks, if some column has no
-    correlation mass at all.
+    peak.  The first column is the reference (zero shift).  Returns
+    (offsets, failed): failed lists the columns with no correlation mass at
+    all, ascending, and their offsets are zero-shift fallbacks.
     """
     maps = np.asarray(coarse_cols).transpose(0, 2, 1)
     n_users, n_cols, _ = maps.shape
@@ -390,9 +372,7 @@ def estimate_common_offsets(
         zero if j == 0 or j in failed else geometry.to_public(peak_shift_2d(corr[j]))
         for j in range(n_cols)
     ]
-    if failed:
-        raise OffsetUndetermined(offsets, failed)
-    return offsets
+    return offsets, failed
 
 
 def offset_structured_somp(
@@ -404,12 +384,13 @@ def offset_structured_somp(
 ) -> dict:
     """Joint greedy row recovery across one user's occupied columns.
 
-    Anchors index rows of the reference column; column j's support is the
-    anchor set shifted by offsets[j].  Each iteration scores every unused
-    anchor by the squared correlation magnitude summed over columns (each
-    column's correlation evaluated at the anchor shifted by that column's
-    offset), then refits every column by least squares on its shifted support
-    and updates the residuals.  n_rows caps the anchor count.
+    Anchors index rows of the reference column, column 0, whose offset must
+    be zero (ValueError otherwise); column j's support is the anchor set
+    shifted by offsets[j].  Each iteration scores every unused anchor by the
+    squared correlation magnitude summed over columns (each column's
+    correlation evaluated at the anchor shifted by that column's offset),
+    then refits every column by least squares on its shifted support and
+    updates the residuals.  n_rows caps the anchor count.
     """
     y_cols = np.asarray(y_cols)
     a = np.asarray(a)
@@ -419,7 +400,10 @@ def offset_structured_somp(
         raise ValueError("one offset per retained column is required")
     if not _is_int(n_rows) or n_rows < 0:
         raise ValueError(f"n_rows must be a non-negative integer, got {n_rows!r}")
-    return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], roll_map(offsets, geometry)), 0)
+    rolls = roll_map(offsets, geometry)
+    if not np.array_equal(rolls[:1], np.arange(geometry.n_elements)[None]):
+        raise ValueError(f"column 0 is the reference: offsets[0] must be zero, got {offsets!r}")
+    return _problem(_pursue(_Atoms(a), y_cols.T[None], [n_rows], rolls), 0)
 
 
 def _assemble(inp: EstimatorInput, rows, coef, count) -> np.ndarray:
@@ -459,23 +443,20 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     joint greedy recovery.
     """
     coarse = estimate_row_structured(inp)
-    diagnostics: dict = {"offset_fallback": []}
-    try:
-        offsets = estimate_common_offsets(coarse.values, inp.geometry)
-    except OffsetUndetermined as err:
-        offsets = err.offsets
-        diagnostics["offset_fallback"] = list(err.failed)
-    rolls = roll_map(offsets, inp.geometry)
+    offsets, failed = estimate_common_offsets(coarse.values, inp.geometry)
     Y = np.swapaxes(inp.Y, 1, 2)[:, inp._joint_columns]
-    fit = _pursue(inp._atoms, Y, inp.row_counts, rolls)
-    diagnostics["rank_deficient"] = bool(fit.deficient.any())
-    diagnostics["group_collision"] = bool(fit.collision.any())
-    diagnostics["residual_history"] = [h[:m] for h, m in zip(fit.history, fit.count)]
+    fit = _pursue(inp._atoms, Y, inp.row_counts, roll_map(offsets, inp.geometry))
+    diagnostics = {
+        "offset_fallback": failed,
+        "rank_deficient": bool(fit.deficient.any()),
+        "group_collision": bool(fit.collision.any()),
+        "residual_history": [h[:m] for h, m in zip(fit.history, fit.count)],
+    }
     return EstimateReport(
         cols=coarse.cols,
         values=_assemble(inp, fit.rows, fit.coef, fit.count[:, None]),
         offsets=offsets,
-        row_patterns=[anchors[:m] for anchors, m in zip(fit.anchors, fit.count)],
+        row_patterns=[rows[0, :m] for rows, m in zip(fit.rows, fit.count)],
         diagnostics=diagnostics,
     )
 

@@ -201,6 +201,11 @@ class TestErrors:
             err = capsys.readouterr().err
             assert "snr_db" in err and "Traceback" not in err
 
+    def test_empty_values_exit_one(self, capsys):
+        for command in ("sweep-t", "sweep-snr"):
+            assert main([command, *SMALL, "--values=,"]) == 1
+            assert capsys.readouterr().err == "error: at least one axis value is required\n"
+
     def test_usage_errors_exit_one(self):
         with pytest.raises(SystemExit) as info:
             main(["sweep-t", "--pilots", "notanint"])

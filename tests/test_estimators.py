@@ -12,7 +12,6 @@ import risce.estimators as estimators
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
     EstimatorInput,
-    OffsetUndetermined,
     _Atoms,
     _batched_lstsq,
     _problem,
@@ -131,6 +130,21 @@ class TestEstimatorInput:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             EstimatorInput(**{**fields, field: value})
 
+    def test_fields_cannot_be_reassigned(self):
+        # the cached per-input operands are computed from the fields and would go stale
+        inp = EstimatorInput(
+            Y=np.ones((2, 4, 3)),
+            sensing_matrix=np.ones((4, 8)),
+            n_columns=1,
+            row_counts=[1, 1],
+            geometry=ArrayGeometry.ula(8),
+        )
+        power = inp._power
+        for field, value in (("Y", np.zeros((2, 4, 3))), ("row_counts", [2, 2])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(inp, field, value)
+        assert inp._power is power and inp.row_counts == [1, 1]
+
     def test_warns_when_budget_exceeds_pilots(self):
         with pytest.warns(RuntimeWarning) as record:
             EstimatorInput(
@@ -239,7 +253,7 @@ class TestCommonOffsets:
 
         truth = extract_ground_truth(real, setup)
         coarse = [truth.H[k][:, truth.col_support] for k in range(2)]
-        assert estimate_common_offsets(coarse, real.geometry) == expected_offsets
+        assert estimate_common_offsets(coarse, real.geometry) == (expected_offsets, [])
 
     def test_single_user_identical_columns(self):
         rng = np.random.default_rng(4)
@@ -249,7 +263,7 @@ class TestCommonOffsets:
             # one retained column is the reference alone: its offset is zero by definition
             for n_cols in (1, 2):
                 coarse = [np.column_stack([col] * n_cols)]
-                assert estimate_common_offsets(coarse, geometry) == [zero] * n_cols
+                assert estimate_common_offsets(coarse, geometry) == ([zero] * n_cols, [])
 
     def test_planar_known_shift(self):
         # the flat grids 1x16 and 16x1 pin the axis order of the offset pair
@@ -261,16 +275,13 @@ class TestCommonOffsets:
                 ref[i1 % shape[0], i2 % shape[1]] = value
             shifted = np.roll(ref, shift, axis=(0, 1))
             coarse = [np.column_stack([ref.ravel(), shifted.ravel()])]
-            assert estimate_common_offsets(coarse, geometry) == [(0, 0), shift]
+            assert estimate_common_offsets(coarse, geometry) == ([(0, 0), shift], [])
 
-    def test_dead_column_raises_with_fallback(self):
+    def test_dead_column_returns_its_fallback(self):
         rng = np.random.default_rng(5)
         col = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         coarse = [np.column_stack([col, np.zeros(16), np.roll(col, 2)])]
-        with pytest.raises(OffsetUndetermined) as info:
-            estimate_common_offsets(coarse, ArrayGeometry.ula(16))
-        assert info.value.failed == [1]
-        assert info.value.offsets == [0, 0, 2]
+        assert estimate_common_offsets(coarse, ArrayGeometry.ula(16)) == ([0, 0, 2], [1])
 
 
 class TestOffsetStructuredSomp:
@@ -350,6 +361,16 @@ class TestOffsetStructuredSomp:
                 2,
                 ArrayGeometry.ula(16),
             )
+
+    @pytest.mark.parametrize(
+        "geometry, offsets",
+        [(ArrayGeometry.ula(16), [3, 0]), (ArrayGeometry.upa(4, 4), [(0, 1), (0, 0)])],
+        ids=["linear", "planar"],
+    )
+    def test_rejects_a_nonzero_reference_offset(self, geometry, offsets):
+        y_cols, a = np.ones((8, 2), dtype=complex), np.ones((8, 16), dtype=complex)
+        with pytest.raises(ValueError, match=r"offsets\[0\] must be zero"):
+            offset_structured_somp(y_cols, a, offsets, 2, geometry)
 
     def test_rejects_a_negative_row_budget(self):
         # as coarse_omp rejects a negative sparsity; a zero budget is an empty fit
@@ -472,7 +493,9 @@ class TestPursuitKernel:
                 alone = _pursue(atoms, Y[b : b + 1], budgets[b : b + 1], rolls)
                 m = alone.count[0]
                 assert fit.count[i] == m
-                assert fit.anchors[i, :m].tobytes() == alone.anchors[0, :m].tobytes()
+                anchors = _problem(fit, i)["anchors"]  # column 0's rows, as a view
+                assert anchors.base is fit.rows
+                assert anchors.tobytes() == fit.rows[i, 0, :m].tobytes()
                 assert fit.rows[i, :, :m].tobytes() == alone.rows[0, :, :m].tobytes()
                 assert fit.coef[i, :, :m].tobytes() == alone.coef[0, :, :m].tobytes()
                 assert fit.history[i, :m].tobytes() == alone.history[0, :m].tobytes()
@@ -484,6 +507,23 @@ class TestPursuitKernel:
                     scale = np.linalg.norm(Y[b, c])
                     npt.assert_allclose(fit.history[i, m - 1, c], residual, atol=1e-12 * scale)
         assert fit.history[-1, 0].tolist() == [0.0] * n_cols
+
+    def test_zero_columns_leave_the_reference_column_unchanged(self):
+        # two all-zero columns under nonzero rolls add exactly 0.0 to every score,
+        # so column 0 follows the one-column pursuit bitwise; problem 3 is zero
+        rng = np.random.default_rng(13)
+        a = unit_column_dictionary(rng, 16, 32)
+        budgets = [3, 8, 5, 4, 1, 6]
+        Y = np.zeros((6, 3, 16), dtype=complex)
+        Y[:, 0] = rng.standard_normal((6, 16)) + 1j * rng.standard_normal((6, 16))
+        Y[3, 0] = 0.0
+        rolls = np.stack([(np.arange(32) + s) % 32 for s in (0, 7, -3)])
+        one = _pursue(_Atoms(a), Y[:, :1], budgets)
+        many = _pursue(_Atoms(a), Y, budgets, rolls)
+        assert many.count.tolist() == one.count.tolist() == [3, 8, 5, 0, 1, 6]
+        assert many.rows[:, 0].tobytes() == one.rows[:, 0].tobytes()
+        assert many.coef[:, 0].tobytes() == one.coef[:, 0].tobytes()
+        assert many.history[..., 0].tobytes() == one.history[..., 0].tobytes()
 
     def test_batched_lstsq_matches_lstsq_and_flags_singular_systems(self):
         rng = np.random.default_rng(10)

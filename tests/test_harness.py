@@ -570,8 +570,8 @@ def test_public_surface():
     assert exported == {
         "ArrayGeometry", "ChannelRealization", "DEFAULT_ESTIMATORS", "ESTIMATORS",
         "EstimateReport", "EstimatorInput", "GroundTruth", "MeasurementSet", "NMSE_FLOOR_DB",
-        "OffsetUndetermined", "RisBsPath", "SensingSetup", "StructureViolation", "SweepResult",
-        "SystemConfig", "TrialResult", "UeRisPath", "beamspace_cascaded", "cascade_spatial",
+        "RisBsPath", "SensingSetup", "StructureViolation", "SweepResult", "SystemConfig",
+        "TrialResult", "UeRisPath", "beamspace_cascaded", "cascade_spatial",
         "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp", "dense_channels", "dft_matrix",
         "emit_results", "estimate_common_offsets", "estimate_conventional_omp",
         "estimate_oracle_ls", "estimate_row_structured", "estimate_triple_structured",
