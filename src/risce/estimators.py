@@ -363,14 +363,13 @@ def estimate_common_offsets(
     all, ascending, and their offsets are zero-shift fallbacks.
     """
     maps = np.asarray(coarse_cols).transpose(0, 2, 1)
-    n_users, n_cols, _ = maps.shape
-    maps = maps.reshape(n_users, n_cols, geometry.n1, geometry.n2)
-    corr = circ_xcorr_2d(np.broadcast_to(maps[:, :1], maps.shape), maps).sum(axis=0)
+    maps = maps.reshape(*maps.shape[:2], geometry.n1, geometry.n2)  # users x C x n1 x n2
+    corr = circ_xcorr_2d(maps[:, :1], maps).sum(axis=0)
     zero = geometry.to_public((0, 0))
-    failed = [j for j in range(1, n_cols) if not np.any(corr[j] > 0.0)]
+    failed = [j for j in range(1, len(corr)) if not np.any(corr[j] > 0.0)]
     offsets: list[Offset] = [
         zero if j == 0 or j in failed else geometry.to_public(peak_shift_2d(corr[j]))
-        for j in range(n_cols)
+        for j in range(len(corr))
     ]
     return offsets, failed
 

@@ -257,17 +257,19 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
 
     Every value is checked as given (32.7 or True pilots, or an SNR of "5",
     raise ValueError), then the values are sorted and deduplicated.  On the
-    SNR axis None is the noiseless point, the same as +inf, and is kept as inf.  Each
-    (axis point, trial) pair gets its own seed stream, so results do not
-    depend on the order values are given in, and every point is checked
-    before the first trial runs.  A cell counts its failed trials by message
-    in CellStats.failure_reasons.  The trials run with OpenBLAS at one thread
-    (see _one_blas_thread); the caller's thread count is restored after.
+    SNR axis None is the noiseless point, the same as +inf, kept as inf, and
+    -0.0 is kept as 0.0.  Each (axis point, trial) pair gets its own seed
+    stream, so results do not depend on the order values are given in, and
+    every point is checked before the first trial runs.  A cell counts its
+    failed trials by message in CellStats.failure_reasons.  The trials run
+    with OpenBLAS at one thread (see _one_blas_thread); the caller's thread
+    count is restored after.
     """
     if axis == "pilot_length":
         field, kind = "n_pilots", int
     elif axis == "snr":
-        field, kind = "snr_db", lambda value: math.inf if value is None else float(value)
+        # + 0.0 turns -0.0 into 0.0: the set below keeps whichever of the two comes first
+        field, kind = "snr_db", lambda value: math.inf if value is None else float(value) + 0.0
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'pilot_length' or 'snr'")
     for value in values:

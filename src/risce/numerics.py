@@ -10,6 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 
+def grid_axes(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The last two axes of shape longer than 1: the axes an (n1, n2) grid transform visits.
+
+    A length-1 transform is the identity.  Visiting it gave the same bits but cost about 50 us
+    (32 pilots) and 150-200 us (128 pilots) per sensing setup and 200 us per canonical offset
+    correlation (best of 5 x 200 calls, one OpenBLAS thread, 2-core Xeon).
+    """
+    return tuple(axis for axis in (-2, -1) if shape[axis] > 1)
+
+
 def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Magnitudes of the periodic cross-correlation of two equal-length vectors.
 
@@ -21,38 +31,28 @@ def circ_xcorr_1d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if u.ndim != 1 or u.shape != v.shape:
         raise ValueError(f"expected equal-length vectors, got {u.shape} and {v.shape}")
-    if u.size == 0:
-        raise ValueError("vectors must be non-empty")
-    # correlation theorem: the DFT of c is conj(U) * V
-    return np.abs(np.fft.ifft(np.conj(np.fft.fft(u)) * np.fft.fft(v)))
+    return circ_xcorr_2d(u[:, None], v[:, None])[:, 0]
 
 
 def circ_xcorr_2d(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """2-D analogue of :func:`circ_xcorr_1d`, wrapping each axis independently.
+    """2-D periodic cross-correlation magnitudes, wrapping each axis independently.
 
     c[d1, d2] = |sum_{m1,m2} conj(u[m1, m2]) * v[(m1 + d1) mod n1, (m2 + d2) mod n2]|
-    over the last two axes; any leading axes index a batch of map pairs.  An
-    operand broadcast along a leading axis (stride 0, as np.broadcast_to
-    gives) is transformed once per distinct map and its spectrum broadcast.
+    over the last two axes, which must agree; any leading axes index a batch
+    of map pairs and broadcast by shape, so an operand of length 1 along a
+    leading axis is transformed once and its spectrum broadcast.
     """
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.ndim < 2 or u.shape != v.shape:
-        raise ValueError(f"expected equal-shape arrays of 2-D or more, got {u.shape} and {v.shape}")
-    if u.size == 0:
+    if u.ndim < 2 or v.ndim < 2 or u.shape[-2:] != v.shape[-2:]:
+        raise ValueError(f"expected maps of one 2-D shape, got {u.shape} and {v.shape}")
+    np.broadcast_shapes(u.shape[:-2], v.shape[:-2])  # ValueError unless the batch axes broadcast
+    if u.size == 0 or v.size == 0:
         raise ValueError("arrays must be non-empty")
-    # the transform along a length-1 axis is the identity, so only longer axes are transformed
-    axes = tuple(axis for axis in (-2, -1) if u.shape[axis] > 1)
-    spectrum = np.conj(np.fft.fftn(_distinct_maps(u), axes=axes))
-    spectrum = spectrum * np.fft.fftn(_distinct_maps(v), axes=axes)
-    if spectrum.shape != u.shape:  # both operands broadcast along one axis
-        spectrum = np.broadcast_to(spectrum, u.shape)
+    # correlation theorem: the DFT of c is conj(U) * V
+    axes = grid_axes(u.shape)
+    spectrum = np.conj(np.fft.fftn(u, axes=axes)) * np.fft.fftn(v, axes=axes)
     return np.abs(np.fft.ifftn(spectrum, axes=axes))
-
-
-def _distinct_maps(x: np.ndarray) -> np.ndarray:
-    """x cut to length 1 along each leading axis it is broadcast along (stride 0)."""
-    return x[tuple(slice(None, 1 if stride == 0 else None) for stride in x.strides[:-2])]
 
 
 def ls_solve(a_sub: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, bool]:

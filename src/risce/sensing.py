@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .config import ArrayGeometry, is_noiseless, snr_ratio
-from .numerics import signed_shift
+from .numerics import grid_axes, signed_shift
 
 # the benchmark tracer wraps these two names on this module, so they stay imported here
 from .numerics import circ_xcorr_1d, circ_xcorr_2d  # noqa: F401
@@ -92,10 +92,9 @@ def make_sensing_setup(
     """Draw a phase schedule and build the sensing matrix for one trial."""
     # n_bs is unused; it stays because perfbench/kernels.py calls this positionally
     phases = generate_phase_schedule(geometry.n_elements, n_pilots, rng)
-    # one 2-D inverse FFT per pilot over the (n1, n2) element grid; the transform
-    # along a length-1 axis is the identity, so only longer axes are transformed
+    # one 2-D inverse FFT per pilot over the (n1, n2) element grid
     grid = phases.conj().T.reshape(n_pilots, geometry.n1, geometry.n2)
-    axes = tuple(axis for axis in (1, 2) if grid.shape[axis] > 1)
+    axes = grid_axes(grid.shape)
     sensing_matrix = np.fft.ifftn(grid, axes=axes, norm="ortho").reshape(n_pilots, -1)
     # the FFT returns A column-major; keep the row-major layout the estimators were measured with
     return SensingSetup(
@@ -103,21 +102,19 @@ def make_sensing_setup(
     )
 
 
-def _shift(idx: np.ndarray, d1, d2, geometry: ArrayGeometry) -> np.ndarray:
-    """Flat element indices moved by per-axis shifts (d1, d2), which broadcast against idx."""
-    r1, r2 = np.divmod(idx, geometry.n2)
-    return ((r1 + d1) % geometry.n1) * geometry.n2 + (r2 + d2) % geometry.n2
-
-
 def shift_indices(indices: np.ndarray, offset: Offset, geometry: ArrayGeometry) -> np.ndarray:
-    """Circularly shift flat element indices by an offset, per axis of the element grid."""
-    return np.sort(_shift(np.asarray(indices, dtype=int), *geometry.to_pair(offset), geometry))
+    """Flat element indices in [0, n_elements) shifted by an offset per grid axis, ascending."""
+    indices = np.asarray(indices, dtype=int)
+    if np.any((indices < 0) | (indices >= geometry.n_elements)):
+        raise ValueError(f"element indices must lie in [0, {geometry.n_elements})")
+    return np.sort(roll_map([offset], geometry)[0, indices])
 
 
 def roll_map(offsets: list[Offset], geometry: ArrayGeometry) -> np.ndarray:
     """The C x n_elements roll table of C offsets: roll[c, p] is where p moves under offsets[c]."""
     pairs = np.array([geometry.to_pair(offset) for offset in offsets], dtype=int).reshape(-1, 2)
-    return _shift(np.arange(geometry.n_elements), pairs[:, :1], pairs[:, 1:], geometry)
+    r1, r2 = np.divmod(np.arange(geometry.n_elements), geometry.n2)
+    return ((r1 + pairs[:, :1]) % geometry.n1) * geometry.n2 + (r2 + pairs[:, 1:]) % geometry.n2
 
 
 def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -> GroundTruth:

@@ -19,7 +19,6 @@ from risce.channel import generate_channels
 from risce.cli import main as cli_main
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import (
-    coarse_omp,
     estimate_common_offsets,
     estimate_row_structured,
     estimate_triple_structured,
@@ -139,24 +138,17 @@ def test_a5_offset_recovery_both_layouts():
         "planar": SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=None),
     }
     counts = {}
-    # 12,800 lone pursuits, at one OpenBLAS thread as run_sweep's trials run
+    # the coarse columns of the structured estimator's row pass, at one OpenBLAS
+    # thread as run_sweep's trials run
     with _one_blas_thread():
         for label, cfg in scenarios.items():
             hits = 0
             for trial in range(100):
-                _, setup, truth, meas, inp = build_trial(cfg, trial_index=trial)
+                _, _, truth, meas, inp = build_trial(cfg, trial_index=trial)
                 cols = joint_column_support(meas.Y, cfg.bs_paths)
                 if not np.array_equal(cols, truth.col_support):
                     continue
-                coarse = [
-                    np.column_stack(
-                        [
-                            coarse_omp(Y_k[:, c], setup.sensing_matrix, inp.row_counts[k])
-                            for c in cols
-                        ]
-                    )
-                    for k, Y_k in enumerate(meas.Y)
-                ]
+                coarse = estimate_row_structured(inp).values
                 offsets, failed = estimate_common_offsets(coarse, cfg.geometry)
                 if failed:
                     continue

@@ -1,9 +1,10 @@
 """README matches the code and results/: flags, config keys, package layout, pilot overhead,
-and every package name it quotes."""
+the regenerate commands, and every package name it quotes."""
 
 import argparse
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -83,6 +84,16 @@ def test_pilot_overhead_table_matches_the_committed_sweeps():
                 for estimator in estimators
             }
     assert readme == expected
+
+
+def test_regenerate_commands_name_each_committed_csv_once():
+    # loads results/regenerate.py and reads its command list; no sweep runs
+    spec = importlib.util.spec_from_file_location("regenerate", ROOT / "results" / "regenerate.py")
+    regenerate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regenerate)
+    named = [name for _, name in regenerate.commands()]
+    committed = sorted(path.name for path in (ROOT / "results").glob("*.csv"))
+    assert sorted(named) == committed
 
 
 def _resolves(name: str, modules: dict, classes: dict) -> bool:

@@ -25,7 +25,7 @@ from risce.estimators import (
     joint_column_support,
     offset_structured_somp,
 )
-from risce.harness import nmse_linear, run_trial
+from risce.harness import _one_blas_thread, nmse_linear, run_trial
 from risce.numerics import ls_solve, top_l_indices
 from risce.sensing import make_sensing_setup, shift_indices
 from util import build_trial, check_report, dense, known_shift_scenario, per_user_nmse_db
@@ -697,6 +697,26 @@ class TestRowStructuredBaseline:
     def test_noisy_output_invariants(self):
         _, _, _, _, inp = build_trial(SystemConfig())
         check_report(estimate_row_structured(inp), inp)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(),
+            dataclasses.replace(SystemConfig(), snr_db=None),
+            SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=None),
+        ],
+        ids=["canonical", "canonical-noiseless", "planar-8x16-noiseless"],
+    )
+    def test_batched_columns_equal_lone_coarse_omp(self, cfg):
+        # the batched fit table gives each column what a lone coarse_omp call gives, bitwise
+        with _one_blas_thread():
+            for trial in range(3):
+                _, setup, _, meas, inp = build_trial(cfg, trial_index=trial)
+                report = estimate_row_structured(inp)
+                for k, Y_k in enumerate(meas.Y):
+                    for j, c in enumerate(report.cols[k]):
+                        lone = coarse_omp(Y_k[:, c], setup.sensing_matrix, inp.row_counts[k])
+                        assert lone.tobytes() == report.values[k, :, j].tobytes()
 
 
 class TestConventionalOmpBaseline:

@@ -260,6 +260,17 @@ class TestRunSweep:
         assert axis == ["0.0"] * len(cfg.estimators) + ["inf"] * len(cfg.estimators)
         assert [row["axis"] for row in load_results(path)] == [float(text) for text in axis]
 
+    def test_negative_zero_snr_is_the_zero_point_in_either_order(self, tmp_path):
+        cfg = small_config(trials=2)
+        texts = []
+        for order in ([-0.0, 0.0], [0.0, -0.0], [-0.0]):
+            path = tmp_path / "snr.csv"
+            emit_results(run_sweep(cfg, "snr", order), path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+        axis = {line.split(b",")[0] for line in texts[0].splitlines()[1:]}
+        assert axis == {b"0.0"}
+
     def test_error_drops_with_pilot_length(self):
         cfg = small_config(trials=10)
         result = run_sweep(cfg, "pilot_length", [8, 32])

@@ -167,9 +167,33 @@ class TestCircXcorr2d:
             return fftn(x, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fftn", recording)
-        batch = circ_xcorr_2d(ref, maps)
+        batch = circ_xcorr_2d(maps[:, :1], maps)
         assert shapes == [(3, 1, 16, 16), (3, 4, 16, 16)]
         assert batch.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(128, 1), (16, 16), (1, 16)])
+    def test_reference_map_broadcasts_by_shape(self, shape):
+        # a users x 1 reference against users x columns maps, as offset estimation passes them
+        rng = np.random.default_rng(sum(shape))
+        maps = rng.standard_normal((3, 4, *shape)) + 1j * rng.standard_normal((3, 4, *shape))
+        batch = circ_xcorr_2d(maps[:, :1], maps)
+        assert batch.shape == maps.shape
+        for k in range(3):
+            for j in range(4):
+                assert batch[k, j].tobytes() == circ_xcorr_2d(maps[k, 0], maps[k, j]).tobytes()
+
+    @pytest.mark.parametrize(
+        "u_shape, v_shape",
+        [
+            ((3, 1, 16, 1), (3, 4, 1, 16)),
+            ((3, 1, 1, 16), (3, 4, 16, 16)),
+            ((2, 1, 8, 8), (3, 4, 8, 8)),
+        ],
+        ids=["grids-transposed", "grid-would-broadcast", "batch-axes-do-not-broadcast"],
+    )
+    def test_mismatched_maps_rejected(self, u_shape, v_shape):
+        with pytest.raises(ValueError):
+            circ_xcorr_2d(np.ones(u_shape), np.ones(v_shape))
 
     def test_both_operands_broadcast_along_one_axis(self):
         rng = np.random.default_rng(10)

@@ -140,6 +140,19 @@ class TestShiftIndices:
         npt.assert_array_equal(shift_indices(np.array([3 * 8 + 7]), (2, 3), geometry), [10])
 
     @pytest.mark.parametrize(
+        "geometry, index",
+        [
+            (ArrayGeometry.ula(128), 128),
+            (ArrayGeometry.ula(128), -1),
+            (ArrayGeometry.upa(16, 16), 256),
+        ],
+    )
+    def test_out_of_range_index_rejected(self, geometry, index):
+        n = geometry.n_elements
+        with pytest.raises(ValueError, match=rf"\[0, {n}\)"):
+            shift_indices(np.array([0, index]), 0, geometry)
+
+    @pytest.mark.parametrize(
         "geometry, offsets",
         [
             (ArrayGeometry.ula(8), [0, 3, -3, 11]),
