@@ -44,8 +44,15 @@ class ChannelRealization:
     h_paths: list[list[UeRisPath]]
 
 
-def _complex_gains(rng: np.random.Generator, size: int) -> np.ndarray:
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+def _complex_gains(rng: np.random.Generator, size: int) -> list[complex]:
+    return ((rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)).tolist()
+
+
+def _public_indices(geometry: ArrayGeometry, flat: np.ndarray) -> list[RisIndex]:
+    """Flat grid indices in public form: ints on a linear array, (i1, i2) on a planar one."""
+    if not geometry.is_planar:
+        return flat.tolist()
+    return list(zip(*(axis.tolist() for axis in np.divmod(flat, geometry.n2))))
 
 
 def generate_channels(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -59,13 +66,10 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
     geometry = config.geometry
     n_i = geometry.n_elements
 
-    bs_indices = rng.choice(config.n_bs, size=config.bs_paths, replace=False)
+    bs_indices = rng.choice(config.n_bs, size=config.bs_paths, replace=False).tolist()
     ris_flat = rng.choice(n_i, size=config.bs_paths, replace=False)
     g_gains = _complex_gains(rng, config.bs_paths)
-    g_paths = []
-    for gain, bs_idx, flat in zip(g_gains, bs_indices, ris_flat):
-        ris_idx = geometry.to_public(divmod(int(flat), geometry.n2))
-        g_paths.append(RisBsPath(gain=complex(gain), bs_index=int(bs_idx), ris_index=ris_idx))
+    g_paths = list(map(RisBsPath, g_gains, bs_indices, _public_indices(geometry, ris_flat)))
 
     lo, hi = config.ue_paths
     h_paths: list[list[UeRisPath]] = []
@@ -73,11 +77,7 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
         n_paths = int(rng.integers(lo, hi + 1))
         ue_flat = rng.choice(n_i, size=n_paths, replace=False)
         ue_gains = _complex_gains(rng, n_paths)
-        user_paths = []
-        for gain, flat in zip(ue_gains, ue_flat):
-            ris_idx = geometry.to_public(divmod(int(flat), geometry.n2))
-            user_paths.append(UeRisPath(gain=complex(gain), ris_index=ris_idx))
-        h_paths.append(user_paths)
+        h_paths.append(list(map(UeRisPath, ue_gains, _public_indices(geometry, ue_flat))))
 
     return ChannelRealization(geometry=geometry, n_bs=config.n_bs, g_paths=g_paths, h_paths=h_paths)
 

@@ -100,12 +100,13 @@ _OPTIONS = {
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat `key = value` file; '#' starts a comment.  See the README for the schema.
+    """Flat `key = value` UTF-8 file, with or without a byte-order mark; '#' starts a comment.
 
-    Returns typed values keyed like the command-line flags, for `_config_kwargs`.
+    See the README for the schema.  Returns typed values keyed like the
+    command-line flags, for `_config_kwargs`.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}") from exc
     entries: dict = {}  # key -> (line number, value)

@@ -124,31 +124,42 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def draw_trial(config: SystemConfig, trial_index: int = 0, axis_index: int = 0):
+    """One seeded trial's inputs: (realization, setup, truth, measurements, inp).
+
+    The one place a trial is drawn.  From the stream trial_rng(base_seed,
+    axis_index, trial_index) come the channels, then the reflector schedule,
+    then the noise, in that order; the ground truth and the estimator input
+    are read from them.
+    """
+    rng = trial_rng(config.base_seed, axis_index, trial_index)
+    realization = generate_channels(config, rng)
+    setup = make_sensing_setup(config.n_bs, config.geometry, config.n_pilots, rng)
+    truth = extract_ground_truth(realization, setup)
+    measurements = simulate_measurements(truth, setup, config.snr_db, rng)
+    inp = EstimatorInput(
+        Y=measurements.Y,
+        sensing_matrix=setup.sensing_matrix,
+        n_columns=config.bs_paths,
+        row_counts=[len(paths) for paths in realization.h_paths],
+        geometry=config.geometry,
+    )
+    return realization, setup, truth, measurements, inp
+
+
 def run_trial(config: SystemConfig, trial_index: int, axis_index: int = 0) -> TrialResult:
-    """Draw one scenario and run every configured estimator on identical data.
+    """Draw one scenario (draw_trial) and run every configured estimator on identical data.
 
     An unknown estimator name raises before anything is drawn.  An exception
-    while drawing the scenario (channels, sensing setup, ground truth,
-    measurements or the estimator input) fails every estimator of the trial,
-    and one raised by an estimator fails that estimator only; either way the
-    message goes to TrialResult.errors and the trial returns normally.
+    while drawing the scenario fails every estimator of the trial, and one
+    raised by an estimator fails that estimator only; either way the message
+    goes to TrialResult.errors and the trial returns normally.
     """
     for name in config.estimators:
         if name not in ESTIMATORS:
             raise ValueError(f"unknown estimator {name!r}; known: {sorted(ESTIMATORS)}")
-    rng = trial_rng(config.base_seed, axis_index, trial_index)
     try:
-        realization = generate_channels(config, rng)
-        setup = make_sensing_setup(config.n_bs, config.geometry, config.n_pilots, rng)
-        truth = extract_ground_truth(realization, setup)
-        measurements = simulate_measurements(truth, setup, config.snr_db, rng)
-        inp = EstimatorInput(
-            Y=measurements.Y,
-            sensing_matrix=setup.sensing_matrix,
-            n_columns=config.bs_paths,
-            row_counts=[len(paths) for paths in realization.h_paths],
-            geometry=config.geometry,
-        )
+        _, _, truth, _, inp = draw_trial(config, trial_index, axis_index)
     except Exception as exc:  # a failed draw fails every estimator of this trial
         reason = _failure(exc)
         return TrialResult(nmse_lin={}, errors={name: reason for name in config.estimators})

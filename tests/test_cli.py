@@ -176,6 +176,20 @@ class TestConfigFile:
     def test_missing_file_rejected(self):
         assert main(["single", "--config", "/no/such/file.cfg"]) == 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        text = "pilots = 16\nn_bs = 16\nn_ris = 32\nusers = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        parser = cli.build_parser()
+        configs = [
+            cli._resolve_config(parser.parse_args(["single", "--config", str(path)]))
+            for path in (plain, marked)
+        ]
+        assert configs[0] == configs[1]
+        assert configs[1].n_pilots == 16 and configs[1].n_bs == 16
+
 
 class TestErrors:
     def test_unknown_estimator(self, capsys):

@@ -86,6 +86,36 @@ def test_pilot_overhead_table_matches_the_committed_sweeps():
     assert readme == expected
 
 
+def test_seed_table_matches_the_committed_canonical_sweeps():
+    order = ("oracle_ls", "triple_structured", "row_structured", "conventional_omp")
+    _, _, *lines = _section("| seed |", "\n").splitlines()
+    readme = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    expected, failing = [], []
+    for seed in range(6):
+        rows = load_results(ROOT / "results" / f"canonical_seed{seed}.csv")
+        assert {row["trials"] for row in rows} == {100}
+        mean = {(row["axis"], row["estimator"]): row["nmse_db"] for row in rows}
+        gaps = [mean[(t, "triple_structured")] - mean[(t, "oracle_ls")] for t in (32, 128)]
+        ordered = [
+            all(mean[(t, a)] <= mean[(t, b)] for a, b in zip(order, order[1:])) for t in (32, 128)
+        ]
+        failing += [f"seed {seed} at {t} pilots" for t, ok in zip((32, 128), ordered) if not ok]
+        advantage = mean[(32, "conventional_omp")] - mean[(32, "triple_structured")]
+        expected.append(
+            [str(seed), f"{gaps[0]:.3f}", *("holds" if ok else "fails" for ok in ordered),
+             f"{advantage:.2f}", f"{gaps[1]:.3f}"]
+        )
+    assert readme == expected
+    listed = _section("- A1: seed", "\n")  # the worst seed per claim, listed under the table
+    a1 = max(expected, key=lambda row: float(row[1]))
+    assert f"- A1: seed {a1[0]}, a gap of {a1[1]} dB" in listed
+    advantage = min(expected, key=lambda row: float(row[4]))
+    assert f"- A3 advantage: seed {advantage[0]}, {advantage[4]} dB" in listed
+    gap128 = max(expected, key=lambda row: float(row[5]))
+    assert f"- Gap at 128 pilots (not asserted): seed {gap128[0]}, {gap128[5]} dB" in listed
+    assert re.findall(r"seed \d+ at \d+ pilots", listed) == failing
+
+
 def test_regenerate_commands_name_each_committed_csv_once():
     # loads results/regenerate.py and reads its command list; no sweep runs
     spec = importlib.util.spec_from_file_location("regenerate", ROOT / "results" / "regenerate.py")

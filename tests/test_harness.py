@@ -191,7 +191,12 @@ class TestRunTrial:
 
     @pytest.mark.parametrize(
         "stage",
-        ["generate_channels", "extract_ground_truth", "simulate_measurements"],
+        [
+            "generate_channels",
+            "make_sensing_setup",
+            "extract_ground_truth",
+            "simulate_measurements",
+        ],
     )
     def test_failed_draw_fails_every_estimator(self, stage, monkeypatch):
         def broken(*args):
@@ -215,6 +220,37 @@ class TestRunTrial:
         cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=128)
         result = run_trial(cfg, trial_index=0)
         assert all(lin < 1e-6 for lin in result.nmse_lin.values())  # below -60 dB
+
+
+class TestDrawTrial:
+    @pytest.mark.parametrize(
+        "config, trial_index, axis_index",
+        [
+            (SystemConfig(n_pilots=32), 3, 1),
+            (SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64), 2, 0),
+        ],
+        ids=["ula128-t32", "upa16x16-t64"],
+    )
+    def test_run_trial_scores_the_drawn_trial(self, config, trial_index, axis_index):
+        _, _, truth, _, inp = harness.draw_trial(config, trial_index, axis_index)
+        expected = {
+            name: nmse_linear(*_aligned(harness.ESTIMATORS[name](inp, truth), truth)).hex()
+            for name in config.estimators
+        }
+        result = run_trial(config, trial_index, axis_index=axis_index)
+        assert result.errors == {}
+        assert {name: ratio.hex() for name, ratio in result.nmse_lin.items()} == expected
+
+    def test_channels_come_first_from_the_trial_stream(self):
+        cfg = small_config()
+        realization, *_ = harness.draw_trial(cfg, trial_index=4, axis_index=2)
+        assert realization == generate_channels(cfg, trial_rng(cfg.base_seed, 2, 4))
+        assert harness.draw_trial(cfg)[0] == generate_channels(cfg, trial_rng(cfg.base_seed, 0, 0))
+
+    def test_tests_draw_with_the_harness(self):
+        import util
+
+        assert util.build_trial is harness.draw_trial
 
 
 class TestRunSweep:

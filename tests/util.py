@@ -2,7 +2,9 @@
 
 Everything here is written from the model definitions directly (plain phase
 ramps, explicit double sums) so the package code is checked against an
-independent implementation rather than against itself.
+independent implementation rather than against itself.  The one exception is
+build_trial, which is harness.draw_trial itself: tests draw their trials
+exactly as the harness does, not from a copy of its seed sequence.
 """
 
 import hashlib
@@ -10,11 +12,9 @@ import json
 
 import numpy as np
 
-from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
+from risce.channel import ChannelRealization, RisBsPath, UeRisPath
 from risce.config import ArrayGeometry, is_noiseless, snr_ratio
-from risce.estimators import EstimatorInput
-from risce.harness import trial_rng
-from risce.sensing import extract_ground_truth, make_sensing_setup, simulate_measurements
+from risce.harness import draw_trial as build_trial
 
 # acceptance summary lines, printed by the conftest terminal hook
 ACCEPTANCE_LINES: list[str] = []
@@ -86,23 +86,6 @@ def known_shift_scenario(n_users: int = 2):
         [10, 25, 28, 40],
     ]
     return realization, expected_offsets, expected_rows_user0
-
-
-def build_trial(config, trial_index: int = 0, axis_index: int = 0):
-    """One seeded draw end to end, mirroring the harness trial construction."""
-    rng = trial_rng(config.base_seed, axis_index, trial_index)
-    realization = generate_channels(config, rng)
-    setup = make_sensing_setup(config.n_bs, config.geometry, config.n_pilots, rng)
-    truth = extract_ground_truth(realization, setup)
-    measurements = simulate_measurements(truth, setup, config.snr_db, rng)
-    inp = EstimatorInput(
-        Y=measurements.Y,
-        sensing_matrix=setup.sensing_matrix,
-        n_columns=config.bs_paths,
-        row_counts=[len(paths) for paths in realization.h_paths],
-        geometry=config.geometry,
-    )
-    return realization, setup, truth, measurements, inp
 
 
 def per_user_measurements(truth, setup, snr_db, rng) -> list[np.ndarray]:
