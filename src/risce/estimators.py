@@ -239,7 +239,6 @@ class _Pursuit(NamedTuple):
     count: np.ndarray  # B: anchors picked
     history: np.ndarray  # B x kmax x C: each column's residual norm after each step
     deficient: np.ndarray  # B: some refit went to ls_solve and was rank deficient
-    collision: np.ndarray  # B: some column's rows hold two equal entries
 
 
 def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
@@ -248,7 +247,9 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
     working layout) with one anchor set; column c uses rows rolls[c][anchors].
     rolls is the C x n table roll_map builds, and its row 0 must be the
-    identity: column 0 is the reference, whose rows are the anchors.
+    identity: column 0 is the reference, whose rows are the anchors.  Each row
+    of the table is a permutation of the n atoms, so distinct anchors give
+    every column distinct rows.
     rolls=None is the one-column table, the identity alone.  Each step takes
     one a^H @ R product over the live problems, scores every unused anchor by
     its correlation power summed over the columns at its rolled rows, and
@@ -298,26 +299,20 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
                 break
         used[best, live] = True
         rows[sel, 0, k] = best
-        picks = rows[sel, 0, : k + 1]  # a view while sel is a slice, else a copy
-        picks.sort(axis=1)
-        picked = table[picks]  # live x (k+1) x C; column 0 is picks, already sorted
-        picked[:, :, 1:].sort(axis=1)
+        picked = table[np.sort(rows[sel, 0, : k + 1], axis=1)]  # live x (k+1) x C
+        picked[:, :, 1:].sort(axis=1)  # column 0, the anchors, is sorted already
         picked = picked.swapaxes(1, 2)
         gathered = atoms.rows[picked].reshape(-1, k + 1, t)  # (live * C) x (k+1) x T
         y_live = ys[sel].reshape(-1, t)
         x, flags = _batched_lstsq(gathered, y_live)
         r = y_live - (np.swapaxes(gathered, 1, 2) @ x[:, :, None])[:, :, 0]
         resid[sel] = r.reshape(-1, n_cols, t)
-        rows[sel, :, : k + 1] = picked  # column 0 too: picks is a copy once sel is live
+        rows[sel, :, : k + 1] = picked
         coef[sel, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
         history[sel, k] = np.linalg.norm(r, axis=-1).reshape(-1, n_cols)
         count[sel] = k + 1
         deficient[sel] |= flags.reshape(-1, n_cols).any(axis=1)
-    # two equal neighbours among a problem's first count[b] sorted rows of some rolled column;
-    # the anchors, column 0, are distinct
-    equal = (rows[:, 1:, 1:] == rows[:, 1:, :-1]).any(axis=1)
-    collision = (equal & (np.arange(1, kmax) < count[:, None])).any(axis=1)
-    return _Pursuit(rows, coef, count, history, deficient, collision)
+    return _Pursuit(rows, coef, count, history, deficient)
 
 
 def _problem(fit: _Pursuit, b: int) -> dict:
@@ -328,7 +323,6 @@ def _problem(fit: _Pursuit, b: int) -> dict:
         "columns": [(rows[:m], coef[:m]) for rows, coef in zip(fit.rows[b], fit.coef[b])],
         "residual_history": fit.history[b, :m],
         "rank_deficient": bool(fit.deficient[b]),
-        "group_collision": bool(fit.collision[b]),
     }
 
 
@@ -448,7 +442,6 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     diagnostics = {
         "offset_fallback": failed,
         "rank_deficient": bool(fit.deficient.any()),
-        "group_collision": bool(fit.collision.any()),
         "residual_history": [h[:m] for h, m in zip(fit.history, fit.count)],
     }
     return EstimateReport(
@@ -486,25 +479,25 @@ def estimate_conventional_omp(inp: EstimatorInput) -> EstimateReport:
 def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateReport:
     """Least squares on the true supports; the performance bound for support-aware recovery.
 
-    The refits go through _batched_lstsq on sorted rows, as the greedy pursuits'
-    do: one call per row-pattern size, over every (user, column) system of the
-    users with that size, user-major.  Each group is one gather of atoms and
-    measurements and one scatter of coefficients.
+    The true rows of user k's column j are the nonzero entries of
+    truth.values[k, :, j], ascending: extract_ground_truth rejects a zero
+    path gain, so no true row holds a zero.  The refits go through
+    _batched_lstsq on those sorted rows, as the greedy pursuits' do: one call
+    per row-pattern size, over every (user, column) system of the users with
+    that size, user-major.  Each group is one gather of atoms and measurements
+    and one scatter of coefficients.
     """
     t = inp.sensing_matrix.shape[0]
     atoms = inp._atoms.rows
     cols = np.array(truth.col_support, dtype=int, copy=True)
-    rolls = roll_map(truth.offsets, inp.geometry)
     sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
-    flat = np.concatenate(truth.row_patterns)  # a copy: the report's patterns are split from it
-    starts = np.cumsum(sizes) - sizes
+    occupied = np.swapaxes(truth.values, 1, 2) != 0  # users x C x n_elements
     values = np.zeros((sizes.size, inp.geometry.n_elements, cols.size), dtype=complex)
     block_cols = np.arange(cols.size)[None, :, None]
     rank_flag = False
     for size in np.unique(sizes):
         users = np.flatnonzero(sizes == size)
-        patterns = flat[starts[users, None] + np.arange(size)]  # users x size
-        rows = np.sort(np.swapaxes(rolls[:, patterns], 0, 1), axis=-1)  # users x C x size
+        rows = np.nonzero(occupied[users])[2].reshape(users.size, cols.size, size)
         coef, deficient = _batched_lstsq(
             atoms[rows].reshape(-1, size, t), inp.Y[users[:, None], :, cols].reshape(-1, t)
         )
@@ -514,6 +507,6 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
         cols=np.broadcast_to(cols, (sizes.size, cols.size)),
         values=values,
         offsets=list(truth.offsets),
-        row_patterns=np.split(flat, np.cumsum(sizes)[:-1]),
+        row_patterns=[pattern.copy() for pattern in truth.row_patterns],
         diagnostics={"rank_deficient": rank_flag},
     )

@@ -344,7 +344,7 @@ def _parse_axis(text: str) -> int | float:
 
 def load_results(path) -> list[dict]:
     """Parse a results CSV back into typed rows (None where a cell errored)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a spreadsheet may save a byte-order mark
     lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line]
     if not lines or lines[0][1] != CSV_HEADER:
         raise ValueError(f"unrecognized results header in {path}")

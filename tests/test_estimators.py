@@ -350,7 +350,6 @@ class TestOffsetStructuredSomp:
             dense = np.zeros(cfg.geometry.n_elements, dtype=complex)
             dense[rows] = coef
             npt.assert_allclose(dense, truth.H[0][:, c], atol=1e-8)
-        assert not fit["group_collision"]
 
     def test_offset_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -455,23 +454,6 @@ class TestPursuitKernel:
             npt.assert_array_equal(rows, np.flatnonzero(single))
             npt.assert_allclose(coef, single[rows], rtol=0, atol=1e-12)
 
-    def test_group_collision_matches_each_problems_own_rows(self):
-        # column 1's roll sends anchors 2 and 5 to one row; in one batch the
-        # problems stop after 8, 3, 1 and 0 anchors, and the one-anchor problem
-        # ends on row 0, the value of the unused tail of its row array
-        rng = np.random.default_rng(11)
-        a = unit_column_dictionary(rng, 16, 8)
-        rolls = np.array([np.arange(8), [1, 2, 3, 4, 5, 3, 6, 7]])
-        Y = rng.standard_normal((16, 4, 2)) + 1j * rng.standard_normal((16, 4, 2))
-        Y = np.moveaxis(Y, 0, -1)  # B x C x T, the draws of the T x B x C layout
-        Y[2, 0], Y[2, 1] = a[:, 0], a[:, 1]
-        fits = self.pursue(a, Y, [8, 3, 1, 0], rolls)
-        assert self.support(fits[2]) == [0]
-        for fit in fits:
-            expected = any(np.any(np.diff(rows) == 0) for rows, _ in fit["columns"])
-            assert fit["group_collision"] == expected
-        assert [fit["group_collision"] for fit in fits] == [True, False, False, False]
-
     @pytest.mark.parametrize("n_cols", [1, 4], ids=["one-column", "rolled-4-columns"])
     def test_batch_does_not_change_a_problems_result(self, n_cols):
         # entries of +-1 +-1j keep the one-atom fit of problem 10 exact: its Gram
@@ -500,7 +482,6 @@ class TestPursuitKernel:
                 assert fit.coef[i, :, :m].tobytes() == alone.coef[0, :, :m].tobytes()
                 assert fit.history[i, :m].tobytes() == alone.history[0, :m].tobytes()
                 assert fit.deficient[i] == alone.deficient[0]
-                assert fit.collision[i] == alone.collision[0]
                 for c in range(n_cols if m else 0):
                     rows, coef = fit.rows[i, c, :m], fit.coef[i, c, :m]
                     residual = np.linalg.norm(Y[b, c] - a[:, rows] @ coef)
@@ -1010,8 +991,8 @@ class TestSharedColumnFits:
             assert_bitwise_equal(
                 fresh.diagnostics["residual_history"], [fit["residual_history"] for fit in joint]
             )
-            for flag in ("rank_deficient", "group_collision"):
-                assert fresh.diagnostics[flag] == any(fit[flag] for fit in joint)
+            deficient = any(fit["rank_deficient"] for fit in joint)
+            assert fresh.diagnostics["rank_deficient"] == deficient
             for k, fit in enumerate(joint):
                 rows, coef = fit["columns"][0]
                 assert fresh.values[k][rows, 0].tobytes() == coef.tobytes()

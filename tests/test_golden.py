@@ -14,11 +14,16 @@ share.
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from risce.config import DEFAULT_ESTIMATORS
+from risce.harness import SweepResult, _aggregate, emit_results
+
 GOLDEN = Path(__file__).with_name("golden_canonical.json")
+CANONICAL_CSV = Path(__file__).resolve().parents[1] / "results" / "canonical_seed0.csv"
 NMSE_REL_TOL = 1e-9
 
 
@@ -49,3 +54,17 @@ def test_nmse_matches_to_round_off(current, golden, pilots):
             assert math.isclose(got, want, rel_tol=NMSE_REL_TOL), (
                 f"{name} trial {trial}: NMSE {got!r}, golden {want!r}"
             )
+
+
+def test_committed_canonical_csv_is_these_trials(canonical_trials, tmp_path):
+    # the fixture's trials are those of results/canonical_seed0.csv's command, so
+    # the harness's own cell and CSV code must write that file byte for byte
+    cells = {
+        (pilots, name): _aggregate([record[1] for record in records if record], Counter())
+        for pilots, by_name in canonical_trials.items()
+        for name, records in by_name.items()
+    }
+    sweep = SweepResult("pilot_length", list(canonical_trials), DEFAULT_ESTIMATORS, cells)
+    out = tmp_path / "canonical_seed0.csv"
+    emit_results(sweep, out)
+    assert out.read_bytes() == CANONICAL_CSV.read_bytes()

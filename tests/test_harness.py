@@ -2,12 +2,14 @@
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import types
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -398,6 +400,62 @@ class TestRunSweep:
             run_sweep(cfg, "snr", [])
 
 
+EDGE_FIELDS = ("geometry", "n_bs", "n_users", "bs_paths", "ue_paths", "n_pilots", "snr_db")
+EDGE_GRID = [
+    dict(zip(EDGE_FIELDS, values), trials=1)
+    for values in itertools.product(
+        (
+            ArrayGeometry.ula(1),
+            ArrayGeometry.ula(8),
+            ArrayGeometry.upa(1, 8),
+            ArrayGeometry.upa(8, 1),
+            ArrayGeometry.upa(4, 4),
+        ),
+        (1, 4),
+        (1, 3),
+        (1, 4),
+        ((1, 1), (1, 8), (8, 8)),
+        (1, 8),
+        (0.0, None),
+    )
+]
+
+
+class TestEdgeGrid:
+    """Every small configuration is rejected by name or sweeps to finite, repeatable cells."""
+
+    @staticmethod
+    def sweep(cfg):
+        # pytest turns warnings into errors, which would fail every trial's draw;
+        # the one warning an edge may give is that its atom budget exceeds T
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run_sweep(cfg, "pilot_length", [cfg.n_pilots])
+        for warning in caught:
+            assert warning.category is RuntimeWarning and "atom budget" in str(warning.message)
+        return result
+
+    def test_rejected_with_the_field_named_or_finite(self, tmp_path):
+        for i, fields in enumerate(EDGE_GRID):
+            n = fields["geometry"].n_elements
+            bad = ["bs_paths"] * (fields["bs_paths"] > min(fields["n_bs"], n))
+            bad += ["ue_paths"] * (fields["ue_paths"][1] > n)
+            if bad:
+                with pytest.raises(ValueError, match=bad[0]):
+                    SystemConfig(**fields)
+                continue
+            cfg = SystemConfig(**fields)
+            result = self.sweep(cfg)
+            for cell in result.cells.values():
+                assert (cell.n_trials, cell.n_failed) == (1, 0), (fields, cell)
+                assert math.isfinite(cell.mean_db) and math.isfinite(cell.stderr_db), fields
+            if i % 16 == 0:  # a fixed subset re-runs to the same bytes
+                first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+                emit_results(result, first)
+                emit_results(self.sweep(cfg), again)
+                assert first.read_bytes() == again.read_bytes(), fields
+
+
 class TestCsvRoundTrip:
     def test_round_trip_preserves_values_exactly(self, tmp_path):
         cfg = small_config(trials=3)
@@ -464,6 +522,13 @@ class TestCsvRoundTrip:
         bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_results(bad)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs save CSV with a UTF-8 byte-order mark in front
+        committed = Path(__file__).resolve().parents[1] / "results" / "canonical_seed0.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + committed.read_bytes())
+        assert load_results(marked) == load_results(committed)
 
     @pytest.mark.parametrize("row", ["24,oracle_ls,-21.0", "24,oracle_ls,loud,0.1,3"])
     def test_malformed_row_named_with_its_line(self, tmp_path, row):

@@ -170,6 +170,9 @@ class TestShiftIndices:
             )
         roll = roll_map(offsets, geometry)
         assert roll.dtype == np.int_ and roll.tobytes() == np.array(expected).tobytes()
+        # every row is a permutation of the grid, so distinct anchors roll to distinct rows
+        for row in roll:
+            npt.assert_array_equal(np.sort(row), np.arange(n1 * n2))
         idx = np.array([5, 0, 17, 3]) % geometry.n_elements
         for row, offset in zip(roll, offsets):
             npt.assert_array_equal(np.sort(row[idx]), shift_indices(idx, offset, geometry))
