@@ -26,17 +26,34 @@ from .numerics import circ_xcorr_1d  # noqa: F401
 
 
 class _Atoms:
-    """A T x N dictionary's atoms as the rows of one N x T array, and their conjugates.
+    """A T x N dictionary's atoms as the rows of one N x T array, and what is read from them.
 
-    The conjugates are computed on first use: the oracle reads only the rows.
+    The conjugates and the Gram table are computed on first use: the oracle
+    below T = N reads only the rows.
     """
 
     def __init__(self, a: np.ndarray):
         self.rows = np.ascontiguousarray(a.T)
+        self.gram_domain = a.shape[0] >= a.shape[1]  # T >= N: pursuits refit from the Gram table
 
     @cached_property
     def conj(self) -> np.ndarray:
         return self.rows.conj()
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = AᴴA by columns, N x N: gram[p] is G[:, p] = Aᴴa_p, so gram[q, p] is G[p, q]."""
+        return self.rows @ self.conj.T
+
+    def correlate(self, ys: np.ndarray) -> np.ndarray:
+        """Aᴴy for each row y of the m x T array ys, as one m x N product.
+
+        numpy computes a one-row product as a matrix-vector product, whose
+        sums round differently, so one row is computed as a two-row product:
+        a row's correlations then do not depend on how many rows share the call.
+        """
+        m = len(ys)
+        return ((np.concatenate([ys, ys]) if m == 1 else ys) @ self.conj.T)[:m]
 
 
 @dataclass(frozen=True)
@@ -197,38 +214,61 @@ def _cholesky_each(gram: np.ndarray) -> np.ndarray:
         return chol
 
 
-def _batched_lstsq(atoms: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares for a stack of systems S_i x ~= ys[i]; returns (x, rank_deficient).
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray, system) -> tuple[np.ndarray, np.ndarray]:
+    """The refit core: solve gram[i] x = rhs[i] for each system; returns (x, rank_deficient).
 
-    atoms is m x k x t and C-contiguous: atoms[i] holds S_i's k columns as
-    rows, the layout a gather of rows of _Atoms.rows gives.  Each system is
-    solved from its normal equations: stacked products give the k x k Grams
-    SᴴS and the right-hand sides Sᴴy, one batched Cholesky factors the Grams,
-    and one batched solve of the Grams gives x (numpy has no batched
-    triangular solve, and one solve of the Gram costs less than two with the
-    factor).  A system goes to ls_solve instead, which supplies its
-    minimum-norm solution and rank flag, when it has more unknowns than rows,
-    when its Cholesky fails, or when its smallest Cholesky pivot is at most
-    _PIVOT_RATIO_CUT times its largest.  A pivot computed from the Gram is
+    gram is m x k x k (k >= 1) and is overwritten, rhs is m x k x 1.  One
+    batched Cholesky factors the Grams, and one batched solve of the Grams
+    gives x (numpy has no batched triangular solve, and one solve of the Gram
+    costs less than two with the factor).  A system whose Cholesky fails, or
+    whose smallest Cholesky pivot is at most _PIVOT_RATIO_CUT times its
+    largest, is re-solved by ls_solve(*system(i)) instead, which supplies its
+    minimum-norm solution and rank flag.  A pivot computed from the Gram is
     accurate only to about sqrt(eps) times the largest, and the normal
     equations lose accuracy as cond(S)², so the cut sits far above round-off;
     every system kept on the Gram path is full rank.  A system's path and
     result depend only on that system, not on the rest of the stack.
     """
+    pivots = np.diagonal(_cholesky_each(gram), axis1=1, axis2=2).real
+    deficient = pivots.min(axis=1) <= _PIVOT_RATIO_CUT * pivots.max(axis=1)
+    if deficient.any():
+        gram[deficient] = np.eye(gram.shape[-1])  # placeholder; those systems are re-solved below
+    coef = np.linalg.solve(gram, rhs)[:, :, 0]
+    for i in np.flatnonzero(deficient):
+        coef[i], deficient[i] = ls_solve(*system(i))
+    return coef, deficient
+
+
+def _batched_lstsq(atoms: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares for a stack of systems S_i x ~= ys[i]; returns (x, rank_deficient).
+
+    atoms is m x k x t and C-contiguous: atoms[i] holds S_i's k columns as
+    rows, the layout a gather of rows of _Atoms.rows gives.  Stacked products
+    give the k x k Grams SᴴS and the right-hand sides Sᴴy, and _solve_normal
+    solves them.  A system with more unknowns than rows goes to ls_solve
+    directly.
+    """
     m, k, t = atoms.shape
     if 0 < k <= t:
         atoms_h = atoms.conj()
         gram = atoms_h @ np.swapaxes(atoms, -1, -2)
-        pivots = np.diagonal(_cholesky_each(gram), axis1=1, axis2=2).real
-        deficient = pivots.min(axis=1) <= _PIVOT_RATIO_CUT * pivots.max(axis=1)
-        if deficient.any():
-            gram[deficient] = np.eye(k)  # placeholder; those systems are re-solved below
-        coef = np.linalg.solve(gram, atoms_h @ ys[:, :, None])[:, :, 0]
-    else:
-        coef, deficient = np.zeros((m, k), dtype=complex), np.full(m, k > t)
+        return _solve_normal(gram, atoms_h @ ys[:, :, None], lambda i: (atoms[i].T, ys[i]))
+    coef, deficient = np.zeros((m, k), dtype=complex), np.full(m, k > t)
     for i in np.flatnonzero(deficient):
         coef[i], deficient[i] = ls_solve(atoms[i].T, ys[i])
     return coef, deficient
+
+
+def _gram_lstsq(atoms: _Atoms, rows: np.ndarray, rhs: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
+    """_batched_lstsq for the systems S_i = A[:, rows[i]], read from the Gram table.
+
+    rows is m x k, and rhs[i] = S_iᴴy_i, gathered at rows[i] from
+    _Atoms.correlate.  Each Gram G[S_i, S_i] is gathered from atoms.gram,
+    and _solve_normal solves them; y(i) returns system i's measurement, and
+    only a system re-solved by ls_solve reads it or gathers its atoms.
+    """
+    gram = atoms.gram[rows[:, None, :], rows[:, :, None]]  # [i, a, b] = G[rows[i, a], rows[i, b]]
+    return _solve_normal(gram, rhs[:, :, None], lambda i: (atoms.rows[rows[i]].T, y(i)))
 
 
 class _Pursuit(NamedTuple):
@@ -251,15 +291,25 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     of the table is a permutation of the n atoms, so distinct anchors give
     every column distinct rows.
     rolls=None is the one-column table, the identity alone.  Each step takes
-    one a^H @ R product over the live problems, scores every unused anchor by
-    its correlation power summed over the columns at its rolled rows, and
-    picks the first maximum per problem.  It then refits every (problem, column) on its
-    sorted rows with one _batched_lstsq call, a batched Gram solve with at most
+    every column's correlations Aᴴr with the residual, scores every unused
+    anchor by its correlation power summed over the columns at its rolled
+    rows, and picks the first maximum per problem.  It then refits every
+    (problem, column) on its sorted rows, a batched Gram solve with at most
     k + 1 unknowns at step k, so no incremental factorisation is kept between
-    steps.  The oracle refits through the same function, and a refit depends
-    only on its own system, so a pursuit that ends on the true rows returns the
+    steps.  The domain is picked once per call from the dictionary's shape:
+    - T < N: the step keeps each column's T-long residual r.  Aᴴr is one
+      product over the live problems, and the refit is _batched_lstsq on the
+      gathered atoms, whose residual norm is the history.
+    - T >= N: the step keeps nothing T long.  Aᴴr = Aᴴy - G[:, S]·x from
+      _Atoms.correlate's Aᴴy, the cached Gram table G = AᴴA and the last
+      refit's rows S and coefficients x; the refit is _gram_lstsq, and the
+      history is sqrt(‖y‖² - Re((Aᴴy)[S]ᴴ·x)), which cancellation leaves
+      accurate only to about sqrt(eps)·‖y‖.
+    The oracle refits through the same functions, and a refit depends only on
+    its own system, so a pursuit that ends on the true rows returns the
     oracle's coefficients bitwise.  Problem b stops after budgets[b] anchors,
-    or when its best score is not positive (a zero residual).  The results are
+    or when its best score is not positive: a zero residual, or at T >= N a
+    correlation Aᴴy - G[:, S]·x that is exactly zero.  The results are
     stacked over the problems, in arrays this call made.
     """
     n, t = atoms.rows.shape
@@ -271,7 +321,11 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     kmax = int(budgets.max(initial=0))
     ends = set(budgets.tolist())
     ys = np.ascontiguousarray(Y, dtype=complex)
-    resid = ys.copy()
+    if atoms.gram_domain:
+        c0 = atoms.correlate(ys.reshape(-1, t)).reshape(n_prob, n_cols, n)
+        energy = np.einsum("bct,bct->bc", ys.conj(), ys).real
+    else:
+        resid = ys.copy()
     rows = np.zeros((n_prob, n_cols, kmax), dtype=int)
     coef = np.zeros((n_prob, n_cols, kmax), dtype=complex)
     history = np.zeros((n_prob, kmax, n_cols))
@@ -285,7 +339,11 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
             live = sel = live[budgets[live] > k]
             if live.size == 0:
                 break
-        power = (np.abs(atoms.conj @ resid[sel].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
+        if atoms.gram_domain:  # the last refit's rows and coefficients, k of each
+            fitted = (coef[sel, :, None, :k] @ atoms.gram[rows[sel, :, :k]])[:, :, 0]
+            power = (np.abs(c0[sel] - fitted) ** 2).transpose(2, 0, 1)
+        else:
+            power = (np.abs(atoms.conj @ resid[sel].reshape(-1, t).T) ** 2).reshape(n, -1, n_cols)
         metric = power[:, :, 0]  # n x live: the reference column on the anchors' own rows
         for c in range(1, n_cols):
             metric = metric + power[rolls[c], :, c]
@@ -302,14 +360,22 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
         picked = table[np.sort(rows[sel, 0, : k + 1], axis=1)]  # live x (k+1) x C
         picked[:, :, 1:].sort(axis=1)  # column 0, the anchors, is sorted already
         picked = picked.swapaxes(1, 2)
-        gathered = atoms.rows[picked].reshape(-1, k + 1, t)  # (live * C) x (k+1) x T
-        y_live = ys[sel].reshape(-1, t)
-        x, flags = _batched_lstsq(gathered, y_live)
-        r = y_live - (np.swapaxes(gathered, 1, 2) @ x[:, :, None])[:, :, 0]
-        resid[sel] = r.reshape(-1, n_cols, t)
+        systems = picked.reshape(-1, k + 1)  # (live * C) x (k+1)
+        if atoms.gram_domain:
+            rhs = np.take_along_axis(c0[sel].reshape(-1, n), systems, axis=1)
+            x, flags = _gram_lstsq(atoms, systems, rhs, lambda i: ys[sel].reshape(-1, t)[i])
+            explained = np.einsum("mk,mk->m", rhs.conj(), x).real
+            norms = np.sqrt(np.maximum(energy[sel].reshape(-1) - explained, 0.0))
+        else:
+            gathered = atoms.rows[systems]  # (live * C) x (k+1) x T
+            y_live = ys[sel].reshape(-1, t)
+            x, flags = _batched_lstsq(gathered, y_live)
+            r = y_live - (np.swapaxes(gathered, 1, 2) @ x[:, :, None])[:, :, 0]
+            resid[sel] = r.reshape(-1, n_cols, t)
+            norms = np.linalg.norm(r, axis=-1)
         rows[sel, :, : k + 1] = picked
         coef[sel, :, : k + 1] = x.reshape(-1, n_cols, k + 1)
-        history[sel, k] = np.linalg.norm(r, axis=-1).reshape(-1, n_cols)
+        history[sel, k] = norms.reshape(-1, n_cols)
         count[sel] = k + 1
         deficient[sel] |= flags.reshape(-1, n_cols).any(axis=1)
     return _Pursuit(rows, coef, count, history, deficient)
@@ -481,14 +547,15 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
 
     The true rows of user k's column j are the nonzero entries of
     truth.values[k, :, j], ascending: extract_ground_truth rejects a zero
-    path gain, so no true row holds a zero.  The refits go through
-    _batched_lstsq on those sorted rows, as the greedy pursuits' do: one call
-    per row-pattern size, over every (user, column) system of the users with
-    that size, user-major.  Each group is one gather of atoms and measurements
-    and one scatter of coefficients.
+    path gain, so no true row holds a zero.  The refits on those sorted rows
+    take the greedy pursuits' path: _batched_lstsq below T = N, and at
+    T >= N _gram_lstsq with the right-hand sides gathered from
+    _Atoms.correlate.  There is one call per row-pattern size, over every
+    (user, column) system of the users with that size, user-major.  Each
+    group is one gather of measurements and one scatter of coefficients.
     """
     t = inp.sensing_matrix.shape[0]
-    atoms = inp._atoms.rows
+    atoms = inp._atoms
     cols = np.array(truth.col_support, dtype=int, copy=True)
     sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
     occupied = np.swapaxes(truth.values, 1, 2) != 0  # users x C x n_elements
@@ -498,9 +565,13 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     for size in np.unique(sizes):
         users = np.flatnonzero(sizes == size)
         rows = np.nonzero(occupied[users])[2].reshape(users.size, cols.size, size)
-        coef, deficient = _batched_lstsq(
-            atoms[rows].reshape(-1, size, t), inp.Y[users[:, None], :, cols].reshape(-1, t)
-        )
+        systems = rows.reshape(-1, size)
+        ys = inp.Y[users[:, None], :, cols].reshape(-1, t)
+        if atoms.gram_domain:
+            rhs = np.take_along_axis(atoms.correlate(ys), systems, axis=1)
+            coef, deficient = _gram_lstsq(atoms, systems, rhs, ys.__getitem__)
+        else:
+            coef, deficient = _batched_lstsq(atoms.rows[systems], ys)
         rank_flag = rank_flag or bool(deficient.any())
         values[users[:, None, None], rows, block_cols] = coef.reshape(rows.shape)
     return EstimateReport(

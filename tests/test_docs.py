@@ -116,6 +116,25 @@ def test_seed_table_matches_the_committed_canonical_sweeps():
     assert re.findall(r"seed \d+ at \d+ pilots", listed) == failing
 
 
+def test_snr_table_matches_the_committed_snr_sweeps():
+    files = {
+        "ULA 128, 32 pilots": "nmse_vs_snr_ula128_t32.csv",
+        "UPA 16x16, 64 pilots": "nmse_vs_snr_upa16x16_t64.csv",
+    }
+    _, _, *lines = _section("| reflector, pilots |", "\n").splitlines()
+    readme = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    expected = []
+    for reflector, name in files.items():
+        rows = load_results(ROOT / "results" / name)
+        assert {row["trials"] for row in rows} == {100}
+        at_20 = {row["estimator"]: row["nmse_db"] for row in rows if row["axis"] == 20.0}
+        expected += [
+            [reflector, estimator, f"{nmse:.2f}", f"{nmse - at_20['oracle_ls']:.2f}"]
+            for estimator, nmse in at_20.items()
+        ]
+    assert readme == expected
+
+
 def test_regenerate_commands_name_each_committed_csv_once():
     # loads results/regenerate.py and reads its command list; no sweep runs
     spec = importlib.util.spec_from_file_location("regenerate", ROOT / "results" / "regenerate.py")

@@ -14,6 +14,7 @@ from risce.estimators import (
     EstimatorInput,
     _Atoms,
     _batched_lstsq,
+    _gram_lstsq,
     _problem,
     _pursue,
     coarse_omp,
@@ -457,37 +458,63 @@ class TestPursuitKernel:
     @pytest.mark.parametrize("n_cols", [1, 4], ids=["one-column", "rolled-4-columns"])
     def test_batch_does_not_change_a_problems_result(self, n_cols):
         # entries of +-1 +-1j keep the one-atom fit of problem 10 exact: its Gram
-        # and right-hand side are both 32, so its residual is 0.0 after one pick
-        rng = np.random.default_rng(12)
-        a = rng.choice([1.0, -1.0], (16, 32)) + 1j * rng.choice([1.0, -1.0], (16, 32))
-        atoms = _Atoms(a)
-        shifts = [0, 3, -5, 11][:n_cols]
-        rolls = np.stack([(np.arange(32) + s) % 32 for s in shifts]) if n_cols > 1 else None
-        table = np.arange(32)[:, None] if rolls is None else rolls.T
-        budgets = [3, 0, 8, 5, 1, 7, 4, 2, 6, 4, 6]  # 0 to 8, then the zero and the exact one
-        Y = rng.standard_normal((11, n_cols, 16)) + 1j * rng.standard_normal((11, n_cols, 16))
-        Y[9] = 0.0
-        Y[10] = a[:, table[13]].T
-        for batch in (np.arange(11), np.flatnonzero(np.array(budgets) > 0)):
-            fit = _pursue(atoms, Y[batch], np.array(budgets)[batch], rolls)
-            assert fit.count.tolist() == [min(budgets[b], {9: 0, 10: 1}.get(b, 8)) for b in batch]
-            for i, b in enumerate(batch):
-                alone = _pursue(atoms, Y[b : b + 1], budgets[b : b + 1], rolls)
-                m = alone.count[0]
-                assert fit.count[i] == m
-                anchors = _problem(fit, i)["anchors"]  # column 0's rows, as a view
-                assert anchors.base is fit.rows
-                assert anchors.tobytes() == fit.rows[i, 0, :m].tobytes()
-                assert fit.rows[i, :, :m].tobytes() == alone.rows[0, :, :m].tobytes()
-                assert fit.coef[i, :, :m].tobytes() == alone.coef[0, :, :m].tobytes()
-                assert fit.history[i, :m].tobytes() == alone.history[0, :m].tobytes()
-                assert fit.deficient[i] == alone.deficient[0]
-                for c in range(n_cols if m else 0):
-                    rows, coef = fit.rows[i, c, :m], fit.coef[i, c, :m]
-                    residual = np.linalg.norm(Y[b, c] - a[:, rows] @ coef)
+        # and right-hand side are both 2T, so its residual is 0.0 after one pick.
+        # The wide dictionary runs the kernel's T-domain step, the tall one its
+        # Gram-table step, where the history is accurate to about sqrt(eps)·‖y‖.
+        for t, tol in ((16, 1e-12), (40, 1e-7)):
+            rng = np.random.default_rng(12)
+            a = rng.choice([1.0, -1.0], (t, 32)) + 1j * rng.choice([1.0, -1.0], (t, 32))
+            atoms = _Atoms(a)
+            shifts = [0, 3, -5, 11][:n_cols]
+            rolls = np.stack([(np.arange(32) + s) % 32 for s in shifts]) if n_cols > 1 else None
+            table = np.arange(32)[:, None] if rolls is None else rolls.T
+            budgets = [3, 0, 8, 5, 1, 7, 4, 2, 6, 4, 6]  # 0 to 8, then the zero and the exact one
+            Y = rng.standard_normal((11, n_cols, t)) + 1j * rng.standard_normal((11, n_cols, t))
+            Y[9] = 0.0
+            Y[10] = a[:, table[13]].T
+            for batch in (np.arange(11), np.flatnonzero(np.array(budgets) > 0)):
+                fit = _pursue(atoms, Y[batch], np.array(budgets)[batch], rolls)
+                expected = [min(budgets[b], {9: 0, 10: 1}.get(b, 8)) for b in batch]
+                assert fit.count.tolist() == expected
+                for i, b in enumerate(batch):
+                    alone = _pursue(atoms, Y[b : b + 1], budgets[b : b + 1], rolls)
+                    m = alone.count[0]
+                    assert fit.count[i] == m
+                    anchors = _problem(fit, i)["anchors"]  # column 0's rows, as a view
+                    assert anchors.base is fit.rows
+                    assert anchors.tobytes() == fit.rows[i, 0, :m].tobytes()
+                    assert fit.rows[i, :, :m].tobytes() == alone.rows[0, :, :m].tobytes()
+                    assert fit.coef[i, :, :m].tobytes() == alone.coef[0, :, :m].tobytes()
+                    assert fit.history[i, :m].tobytes() == alone.history[0, :m].tobytes()
+                    assert fit.deficient[i] == alone.deficient[0]
+                    for c in range(n_cols if m else 0):
+                        rows, coef = fit.rows[i, c, :m], fit.coef[i, c, :m]
+                        residual = np.linalg.norm(Y[b, c] - a[:, rows] @ coef)
+                        scale = np.linalg.norm(Y[b, c])
+                        npt.assert_allclose(fit.history[i, m - 1, c], residual, atol=tol * scale)
+            assert fit.history[-1, 0].tolist() == [0.0] * n_cols
+
+    @pytest.mark.parametrize("t", [40, 32], ids=["tall-40x32", "square-32x32"])
+    def test_gram_table_pursuit_matches_a_lstsq_omp(self, t):
+        # at T >= N every step reads the Gram table; the reference below refits
+        # each column with np.linalg.lstsq and keeps its T-long residual
+        rng = np.random.default_rng(30 + t)
+        a = rng.standard_normal((t, 32)) + 1j * rng.standard_normal((t, 32))
+        for n_cols, shifts in ((1, [0]), (3, [0, 5, -9])):
+            rolls = np.stack([(np.arange(32) + s) % 32 for s in shifts])
+            budgets = [1, 3, 6, 8, 8, 5]
+            Y = rng.standard_normal((6, n_cols, t)) + 1j * rng.standard_normal((6, n_cols, t))
+            fit = _pursue(_Atoms(a), Y, budgets, rolls)
+            assert fit.count.tolist() == budgets
+            for b, budget in enumerate(budgets):
+                rows, coef = lstsq_pursuit(a, Y[b], budget, rolls)
+                npt.assert_array_equal(fit.rows[b, :, :budget], rows)
+                for c in range(n_cols):
+                    got = fit.coef[b, c, :budget]
+                    assert np.linalg.norm(got - coef[c]) <= 1e-12 * np.linalg.norm(coef[c])
+                    residual = np.linalg.norm(Y[b, c] - a[:, rows[c]] @ got)
                     scale = np.linalg.norm(Y[b, c])
-                    npt.assert_allclose(fit.history[i, m - 1, c], residual, atol=1e-12 * scale)
-        assert fit.history[-1, 0].tolist() == [0.0] * n_cols
+                    assert abs(fit.history[b, budget - 1, c] - residual) <= 1e-7 * scale
 
     def test_zero_columns_leave_the_reference_column_unchanged(self):
         # two all-zero columns under nonzero rolls add exactly 0.0 to every score,
@@ -523,6 +550,23 @@ class TestPursuitKernel:
         assert deficient.all()
         for i in range(3):
             npt.assert_array_equal(coef[i], np.linalg.lstsq(wide[i], ys[i, :2], rcond=None)[0])
+
+
+def lstsq_pursuit(a, y_cols, budget, rolls):
+    """One problem's offset-coupled OMP, each column refit by np.linalg.lstsq: (rows, coef).
+
+    y_cols is C x T; rows and coef are C x budget, each column's rows ascending.
+    """
+    anchors, resid = [], y_cols.copy()
+    for _ in range(budget):
+        power = np.abs(a.conj().T @ resid.T) ** 2  # n x C
+        score = sum(power[roll, c] for c, roll in enumerate(rolls))
+        score[anchors] = -np.inf
+        anchors.append(int(np.argmax(score)))
+        rows = np.sort(rolls[:, anchors], axis=1)
+        coef = np.stack([np.linalg.lstsq(a[:, r], y, rcond=None)[0] for r, y in zip(rows, y_cols)])
+        resid = y_cols - np.stack([a[:, r] @ x for r, x in zip(rows, coef)])
+    return rows, coef
 
 
 def as_rows(subs):
@@ -570,23 +614,33 @@ class TestGramRefit:
 
     @pytest.mark.parametrize("t, k", [(32, 8), (128, 8), (8, 4), (16, 2)])
     def test_pivot_cut_splits_gram_path_from_ls_solve(self, t, k, monkeypatch):
-        # condition numbers from a third to three times 1/cut straddle the cut
+        # condition numbers from a third to three times 1/cut straddle the cut;
+        # each system is refit from its gathered atoms and, as _pursue does at
+        # T >= N, from the Gram table of a dictionary holding every system's atoms
         cut = estimators._PIVOT_RATIO_CUT
         rng = np.random.default_rng(20 + t + k)
         conds = np.geomspace(1.0 / (3 * cut), 3.0 / cut, 12)
         parts = [conditioned_systems(rng, t, k, conds, spread) for spread in (False, True)]
         subs, ys = np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
-        solved = self.record_ls_solve(monkeypatch)
-        coef, deficient = _batched_lstsq(as_rows(subs), ys)
         on_gram = np.array([pivot_ratio(sub) > cut for sub in subs])
         assert 0 < on_gram.sum() < len(subs)
-        assert solved == [y.tobytes() for y in ys[~on_gram]]
-        assert not deficient.any()
-        for i in np.flatnonzero(on_gram):
-            expected = np.linalg.lstsq(subs[i], ys[i], rcond=None)[0]
-            assert np.linalg.norm(coef[i] - expected) <= 1e-10 * np.linalg.norm(expected)
-        for i in np.flatnonzero(~on_gram):
-            npt.assert_array_equal(coef[i], ls_solve(subs[i], ys[i])[0])
+        atoms = _Atoms(np.concatenate(subs, axis=1))  # system i's atoms are i*k to i*k + k - 1
+        rows = np.arange(len(subs) * k).reshape(len(subs), k)
+        rhs = np.take_along_axis(atoms.correlate(ys), rows, axis=1)
+        refits = (
+            lambda: _batched_lstsq(as_rows(subs), ys),
+            lambda: _gram_lstsq(atoms, rows, rhs, ys.__getitem__),
+        )
+        for refit in refits:
+            solved = self.record_ls_solve(monkeypatch)
+            coef, deficient = refit()
+            assert solved == [y.tobytes() for y in ys[~on_gram]]
+            assert not deficient.any()
+            for i in np.flatnonzero(on_gram):
+                expected = np.linalg.lstsq(subs[i], ys[i], rcond=None)[0]
+                assert np.linalg.norm(coef[i] - expected) <= 1e-10 * np.linalg.norm(expected)
+            for i in np.flatnonzero(~on_gram):
+                npt.assert_array_equal(coef[i], ls_solve(subs[i], ys[i])[0])
 
     def test_result_does_not_depend_on_the_batch(self):
         rng = np.random.default_rng(21)
@@ -613,8 +667,9 @@ class TestGramRefit:
             assert not deficient[at]
 
     def test_greedy_fit_on_the_true_support_is_the_oracle_fit(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
-        for trial in range(3):
+        # 64 pilots refit from gathered atoms, 128 (T = N) from the Gram table
+        for t, trial in itertools.product((64, 128), range(3)):
+            cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=t)
             _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
             oracle = estimate_oracle_ls(inp, truth)
             matched = 0
@@ -772,12 +827,18 @@ class TestOracleLs:
             with budget_warning:
                 _, setup, truth, _, inp = build_trial(cfg, trial_index=trial)
             a = setup.sensing_matrix
+            atoms = _Atoms(a)
             report = estimate_oracle_ls(inp, truth)
             for k, pattern in enumerate(truth.row_patterns):
                 expected = np.zeros_like(report.values[k])
                 for j, (c, offset) in enumerate(zip(truth.col_support, truth.offsets)):
                     rows = shift_indices(pattern, offset, cfg.geometry)
-                    coef, _ = _batched_lstsq(a.T[rows][None], inp.Y[k][:, c][None])
+                    y = inp.Y[k][:, c][None]
+                    if atoms.gram_domain:  # T >= N: the Gram-table refit
+                        rhs = np.take_along_axis(atoms.correlate(y), rows[None], axis=1)
+                        coef, _ = _gram_lstsq(atoms, rows[None], rhs, y.__getitem__)
+                    else:
+                        coef, _ = _batched_lstsq(a.T[rows][None], y)
                     expected[rows, j] = coef[0]
                 assert report.values[k].tobytes() == expected.tobytes()
 
