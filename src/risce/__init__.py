@@ -33,15 +33,6 @@ from .numerics import (
     signed_shift,
     top_l_indices,
 )
-from .reference import (
-    beamspace_cascaded,
-    cascade_spatial,
-    dense_channels,
-    dft_matrix,
-    grid_sine,
-    steering_ula,
-    steering_upa,
-)
 from .sensing import (
     GroundTruth,
     MeasurementSet,

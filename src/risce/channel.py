@@ -2,8 +2,9 @@
 
 Angles live on the DFT-aligned sine grid, so every steering vector projects to
 exactly one DFT beam and beamspace supports can be reasoned about as integer
-grid indices.  A draw is its path lists; risce.reference builds the dense
-steering-vector form of the same channels.
+grid indices.  A draw is its path lists; the tests' reference model
+(tests/reference.py) builds the dense steering-vector form of the same
+channels.
 """
 
 from __future__ import annotations

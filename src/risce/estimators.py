@@ -64,7 +64,8 @@ class EstimatorInput:
     no copy; anything else raises ValueError.  The input also computes, once,
     what several estimators read from it alone: the sensing matrix's atoms,
     the per-user column power, both column detectors' picks, and the
-    single-column pursuits of every (user, column) pair they pick.  The fit of
+    single-column pursuits of every (user, column) pair they pick, with, at
+    T >= N, those pairs' Aᴴy, which the joint pass reads too.  The fit of
     user k's column c depends only on (Y[k, :, c], sensing_matrix,
     row_counts[k]), so the pairs are fitted in one batch and every estimator
     given the same input reads that one table.  The input is frozen, so no
@@ -133,12 +134,15 @@ class EstimatorInput:
         return cols
 
     @cached_property
-    def _column_fits(self) -> tuple[_Pursuit, np.ndarray]:
-        """The single-column pursuit of every pair the column detectors pick, as (fit, slot).
+    def _column_fits(self) -> tuple[_Pursuit, np.ndarray, np.ndarray | None]:
+        """The single-column pursuit of every pair the column detectors pick, as (fit, slot, corr).
 
         The pairs are the joint support for every user and each user's own
         columns, fitted user-major in one batch; slot[k, c] is the problem
         index of user k's column c, and -1 where no detector picks the pair.
+        At T >= N corr is the problems x N correlations Aᴴy the batch starts
+        from, one _Atoms.correlate call, which the joint pass of
+        estimate_triple_structured reads too; below T = N it is None.
         """
         picked = np.zeros((len(self.Y), self.Y.shape[2]), dtype=bool)
         picked[:, self._joint_columns] = True
@@ -146,9 +150,10 @@ class EstimatorInput:
         users, cols = np.nonzero(picked)
         slot = np.full(picked.shape, -1)
         slot[users, cols] = np.arange(users.size)
-        budgets = np.asarray(self.row_counts)[users]
-        fit = _pursue(self._atoms, self.Y[users, :, cols][:, None], budgets)  # problem x 1 x pilot
-        return fit, slot
+        ys = self.Y[users, :, cols]  # problem x pilot
+        corr = self._atoms.correlate(ys) if self._atoms.gram_domain else None
+        fit = _pursue(self._atoms, ys[:, None], np.asarray(self.row_counts)[users], c0=corr)
+        return fit, slot, corr
 
 
 @dataclass
@@ -217,17 +222,20 @@ def _cholesky_each(gram: np.ndarray) -> np.ndarray:
 def _solve_normal(gram: np.ndarray, rhs: np.ndarray, system) -> tuple[np.ndarray, np.ndarray]:
     """The refit core: solve gram[i] x = rhs[i] for each system; returns (x, rank_deficient).
 
-    gram is m x k x k (k >= 1) and is overwritten, rhs is m x k x 1.  One
-    batched Cholesky factors the Grams, and one batched solve of the Grams
-    gives x (numpy has no batched triangular solve, and one solve of the Gram
-    costs less than two with the factor).  A system whose Cholesky fails, or
-    whose smallest Cholesky pivot is at most _PIVOT_RATIO_CUT times its
-    largest, is re-solved by ls_solve(*system(i)) instead, which supplies its
-    minimum-norm solution and rank flag.  A pivot computed from the Gram is
-    accurate only to about sqrt(eps) times the largest, and the normal
-    equations lose accuracy as cond(S)², so the cut sits far above round-off;
-    every system kept on the Gram path is full rank.  A system's path and
-    result depend only on that system, not on the rest of the stack.
+    gram is m x k x k with k >= 1 (the pivot test reads every Gram's
+    diagonal) and is overwritten, rhs is m x k x 1.  One batched Cholesky
+    factors the Grams, and one batched solve of the Grams gives x (numpy has
+    no batched triangular solve, and one solve of the Gram costs less than
+    two with the factor).  A system whose Cholesky fails, or whose smallest
+    Cholesky pivot is at most _PIVOT_RATIO_CUT times its largest, is
+    re-solved by ls_solve(*system(i)) instead, which supplies its
+    minimum-norm solution and rank flag; a system with more unknowns than
+    equations has a singular Gram and goes there by this one rule.  A pivot
+    computed from the Gram is accurate only to about sqrt(eps) times the
+    largest, and the normal equations lose accuracy as cond(S)², so the cut
+    sits far above round-off; every system kept on the Gram path is full
+    rank.  A system's path and result depend only on that system, not on
+    the rest of the stack.
     """
     pivots = np.diagonal(_cholesky_each(gram), axis1=1, axis2=2).real
     deficient = pivots.min(axis=1) <= _PIVOT_RATIO_CUT * pivots.max(axis=1)
@@ -242,21 +250,16 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, system) -> tuple[np.ndarray
 def _batched_lstsq(atoms: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for a stack of systems S_i x ~= ys[i]; returns (x, rank_deficient).
 
-    atoms is m x k x t and C-contiguous: atoms[i] holds S_i's k columns as
-    rows, the layout a gather of rows of _Atoms.rows gives.  Stacked products
-    give the k x k Grams SᴴS and the right-hand sides Sᴴy, and _solve_normal
-    solves them.  A system with more unknowns than rows goes to ls_solve
-    directly.
+    atoms is m x k x t with k >= 1 and C-contiguous: atoms[i] holds S_i's k
+    columns as rows, the layout a gather of rows of _Atoms.rows gives.
+    Stacked products give the k x k Grams SᴴS and the right-hand sides Sᴴy,
+    and _solve_normal solves them.  A system with more unknowns than rows
+    (k > t) has a singular Gram, so _solve_normal's pivot test sends it to
+    ls_solve like any other rank-deficient system.
     """
-    m, k, t = atoms.shape
-    if 0 < k <= t:
-        atoms_h = atoms.conj()
-        gram = atoms_h @ np.swapaxes(atoms, -1, -2)
-        return _solve_normal(gram, atoms_h @ ys[:, :, None], lambda i: (atoms[i].T, ys[i]))
-    coef, deficient = np.zeros((m, k), dtype=complex), np.full(m, k > t)
-    for i in np.flatnonzero(deficient):
-        coef[i], deficient[i] = ls_solve(atoms[i].T, ys[i])
-    return coef, deficient
+    atoms_h = atoms.conj()
+    gram = atoms_h @ np.swapaxes(atoms, -1, -2)
+    return _solve_normal(gram, atoms_h @ ys[:, :, None], lambda i: (atoms[i].T, ys[i]))
 
 
 def _gram_lstsq(atoms: _Atoms, rows: np.ndarray, rhs: np.ndarray, y) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +284,7 @@ class _Pursuit(NamedTuple):
     deficient: np.ndarray  # B: some refit went to ls_solve and was rank deficient
 
 
-def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
+def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None, c0=None) -> _Pursuit:
     """Greedy pursuit of B problems in lockstep against one dictionary's atoms.
 
     Problem b fits the C measurement columns Y[b] (Y is B x C x T, the kernel's
@@ -301,10 +304,12 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
       product over the live problems, and the refit is _batched_lstsq on the
       gathered atoms, whose residual norm is the history.
     - T >= N: the step keeps nothing T long.  Aᴴr = Aᴴy - G[:, S]·x from
-      _Atoms.correlate's Aᴴy, the cached Gram table G = AᴴA and the last
-      refit's rows S and coefficients x; the refit is _gram_lstsq, and the
-      history is sqrt(‖y‖² - Re((Aᴴy)[S]ᴴ·x)), which cancellation leaves
-      accurate only to about sqrt(eps)·‖y‖.
+      Aᴴy, the cached Gram table G = AᴴA and the last refit's rows S and
+      coefficients x; the refit is _gram_lstsq, and the history is
+      sqrt(‖y‖² - Re((Aᴴy)[S]ᴴ·x)), which cancellation leaves accurate only
+      to about sqrt(eps)·‖y‖.  Aᴴy is c0 when the caller has it (any array
+      of the B x C x N values, in that order), else one _Atoms.correlate
+      call; c0 is not read below T = N.
     The oracle refits through the same functions, and a refit depends only on
     its own system, so a pursuit that ends on the true rows returns the
     oracle's coefficients bitwise.  Problem b stops after budgets[b] anchors,
@@ -322,7 +327,7 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None) -> _Pursuit:
     ends = set(budgets.tolist())
     ys = np.ascontiguousarray(Y, dtype=complex)
     if atoms.gram_domain:
-        c0 = atoms.correlate(ys.reshape(-1, t)).reshape(n_prob, n_cols, n)
+        c0 = (atoms.correlate(ys.reshape(-1, t)) if c0 is None else c0).reshape(n_prob, n_cols, n)
         energy = np.einsum("bct,bct->bc", ys.conj(), ys).real
     else:
         resid = ys.copy()
@@ -485,7 +490,7 @@ def _per_column_report(inp: EstimatorInput, col_sets) -> EstimateReport:
     The per-column body of both baselines, read from inp's fit table; col_sets
     is users x C, each row ascending, and one of the column detectors' picks.
     """
-    fit, slot = inp._column_fits
+    fit, slot, _ = inp._column_fits
     b = slot[np.arange(len(col_sets))[:, None], col_sets]  # users x C problem indices
     values = _assemble(inp, fit.rows[b, 0], fit.coef[b, 0], fit.count[b])
     diagnostics = {"rank_deficient": bool(fit.deficient[b].any())}
@@ -503,8 +508,10 @@ def estimate_triple_structured(inp: EstimatorInput) -> EstimateReport:
     """
     coarse = estimate_row_structured(inp)
     offsets, failed = estimate_common_offsets(coarse.values, inp.geometry)
+    _, slot, corr = inp._column_fits  # every joint pair is a fit-table pair: its Aᴴy is there
+    c0 = None if corr is None else corr[slot[:, inp._joint_columns]]
     Y = np.swapaxes(inp.Y, 1, 2)[:, inp._joint_columns]
-    fit = _pursue(inp._atoms, Y, inp.row_counts, roll_map(offsets, inp.geometry))
+    fit = _pursue(inp._atoms, Y, inp.row_counts, roll_map(offsets, inp.geometry), c0)
     diagnostics = {
         "offset_fallback": failed,
         "rank_deficient": bool(fit.deficient.any()),
@@ -549,26 +556,32 @@ def estimate_oracle_ls(inp: EstimatorInput, truth: GroundTruth) -> EstimateRepor
     truth.values[k, :, j], ascending: extract_ground_truth rejects a zero
     path gain, so no true row holds a zero.  The refits on those sorted rows
     take the greedy pursuits' path: _batched_lstsq below T = N, and at
-    T >= N _gram_lstsq with the right-hand sides gathered from
-    _Atoms.correlate.  There is one call per row-pattern size, over every
-    (user, column) system of the users with that size, user-major.  Each
-    group is one gather of measurements and one scatter of coefficients.
+    T >= N _gram_lstsq with the right-hand sides gathered from Aᴴy.  The
+    true columns' measurements are gathered once, users x C x T, and at
+    T >= N their Aᴴy is one _Atoms.correlate call over every user, the
+    oracle's own: it reads nothing of the greedy estimators' fit table.
+    There is then one refit per row-pattern size, over every (user, column)
+    system of the users with that size, user-major, and one scatter of its
+    coefficients.
     """
-    t = inp.sensing_matrix.shape[0]
+    t, n = inp.sensing_matrix.shape
     atoms = inp._atoms
     cols = np.array(truth.col_support, dtype=int, copy=True)
     sizes = np.array([pattern.size for pattern in truth.row_patterns], dtype=int)
     occupied = np.swapaxes(truth.values, 1, 2) != 0  # users x C x n_elements
-    values = np.zeros((sizes.size, inp.geometry.n_elements, cols.size), dtype=complex)
+    measured = inp.Y[np.arange(sizes.size)[:, None], :, cols]  # users x C x T
+    if atoms.gram_domain:  # every user's Aᴴy, users x C x N, read by the refits below
+        corr = atoms.correlate(measured.reshape(-1, t)).reshape(occupied.shape)
+    values = np.zeros((sizes.size, n, cols.size), dtype=complex)
     block_cols = np.arange(cols.size)[None, :, None]
     rank_flag = False
     for size in np.unique(sizes):
         users = np.flatnonzero(sizes == size)
         rows = np.nonzero(occupied[users])[2].reshape(users.size, cols.size, size)
         systems = rows.reshape(-1, size)
-        ys = inp.Y[users[:, None], :, cols].reshape(-1, t)
+        ys = measured[users].reshape(-1, t)
         if atoms.gram_domain:
-            rhs = np.take_along_axis(atoms.correlate(ys), systems, axis=1)
+            rhs = np.take_along_axis(corr[users].reshape(-1, n), systems, axis=1)
             coef, deficient = _gram_lstsq(atoms, systems, rhs, ys.__getitem__)
         else:
             coef, deficient = _batched_lstsq(atoms.rows[systems], ys)

@@ -1,10 +1,10 @@
 """Dense reference form of the on-grid model: steering vectors, DFT matrices,
 spatial channels and the beamspace transform.
 
-A trial never calls this module; it works from the path lists and the
-closed-form sparse truth.  Tests hold that trial path to these definitions,
-so everything here is built from explicit sums and DFT matrices, never from
-an FFT.
+This is a test module, outside the package, so no trial can call it; a trial
+works from the path lists and the closed-form sparse truth.  Tests hold that
+trial path to these definitions, so everything here is built from explicit
+sums and DFT matrices, never from an FFT.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import functools
 
 import numpy as np
 
-from .channel import ChannelRealization, RisIndex
-from .config import ArrayGeometry
+from risce.channel import ChannelRealization, RisIndex
+from risce.config import ArrayGeometry
 
 
 def grid_sine(n: int, grid_index: int) -> float:

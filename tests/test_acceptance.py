@@ -32,7 +32,7 @@ from risce.harness import (
     run_sweep,
     trial_rng,
 )
-from risce.reference import cascade_spatial, dense_channels
+from reference import cascade_spatial, dense_channels
 from util import build_trial, dense, double_sum_cascade, per_user_nmse_db, record
 
 TOL_DB = 1.5

@@ -8,7 +8,7 @@ import pytest
 
 from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
 from risce.config import ArrayGeometry, SystemConfig
-from risce.reference import (
+from reference import (
     cascade_spatial,
     dense_channels,
     dft_matrix,

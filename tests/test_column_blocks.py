@@ -5,8 +5,9 @@ every estimate is values (users x N x C) over cols (users x C): user k's
 channel is values[k] at the BS beams cols[k] and zero elsewhere.  A trial
 builds, measures and scores every channel over those columns; the dense
 users x N x n_bs truth GroundTruth.H is built on first read, and the trial
-never reads it, nor the dense reference model in risce.reference.  These
-checks hold the column-block path to the dense definitions.
+never reads it, nor the dense reference model, which lives with the tests
+(reference.py) and which no package module imports.  These checks hold the
+column-block path to the dense definitions.
 """
 
 import ast
@@ -19,7 +20,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-import risce.reference as reference
+import reference
+import risce
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import joint_column_support
 from risce.harness import ESTIMATORS, nmse_linear, run_trial
@@ -54,35 +56,53 @@ def test_trial_reads_no_dense_view(config, monkeypatch):
             if getattr(module, "__dict__", {}).get(name) is fn:
                 monkeypatch.setattr(module, name, refuse_call)
                 patched.add((module.__name__, name))
-    assert {name for module, name in patched if module == "risce.reference"} == {
+    assert {name for module, name in patched if module == "reference"} == {
         "beamspace_cascaded", "cascade_spatial", "dense_channels", "dft_matrix",
         "grid_sine", "ris_steering", "steering_ula", "steering_upa",
     }
-    assert ("risce", "dense_channels") in patched
+    assert not [module for module, _ in patched if module.split(".")[0] == "risce"]
     result = run_trial(config, trial_index=0)
     assert result.errors == {}
     assert set(result.nmse_lin) == set(config.estimators)
 
 
 def test_only_the_package_imports_the_reference_model():
-    package = Path(reference.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "reference.py":
-            # an FFT here would make the dense-transform checks compare the trial path with itself
-            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
-                        and node.attr == "fft"], "reference.py uses np.fft"
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(tree):
+    # an FFT here would make the dense-transform checks compare the trial path with itself
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and node.attr == "fft"], "reference.py uses np.fft"
+    # the reference model lives with the tests: no package module, __init__ included, imports it
+    for path in sorted(Path(risce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if "reference" in n.split(".")], path.name
+
+
+def test_every_package_module_is_reached_from_the_cli():
+    # a module only tests use, as the dense reference model, belongs with the tests
+    package = Path(risce.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    reached, queue = set(), ["cli"]
+    while queue:
+        stem = queue.pop()
+        if stem not in modules or stem in reached:
+            continue
+        reached.add(stem)
+        for node in ast.walk(ast.parse((package / f"{stem}.py").read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):  # from .x import y, from . import x, from risce.x
                 module = ".".join(filter(None, ["risce" if node.level else "", node.module]))
                 names = [module] + [f"{module}.{alias.name}" for alias in node.names]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             else:
                 continue
-            assert not [n for n in names if n.split(".")[:2] == ["risce", "reference"]], path.name
+            queue += [name.split(".")[1] for name in names if name.startswith("risce.")]
+    assert modules - reached == set()
 
 
 def test_trial_nmse_equals_dense_nmse():

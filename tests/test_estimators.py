@@ -26,7 +26,7 @@ from risce.estimators import (
     joint_column_support,
     offset_structured_somp,
 )
-from risce.harness import _one_blas_thread, nmse_linear, run_trial
+from risce.harness import ESTIMATORS, _one_blas_thread, nmse_linear, run_trial
 from risce.numerics import ls_solve, top_l_indices
 from risce.sensing import make_sensing_setup, shift_indices
 from util import build_trial, check_report, dense, known_shift_scenario, per_user_nmse_db
@@ -930,9 +930,9 @@ class TestSharedColumnFits:
         cfg = SystemConfig()
         calls = []  # (problems, columns per problem) of every _pursue batch
 
-        def counting(a, Y, *args):
+        def counting(a, Y, *args, **kwargs):
             calls.append(Y.shape[:2])
-            return _pursue(a, Y, *args)
+            return _pursue(a, Y, *args, **kwargs)
 
         monkeypatch.setattr(estimators, "_pursue", counting)
         extra_total = 0
@@ -950,7 +950,7 @@ class TestSharedColumnFits:
             estimate_conventional_omp(inp)
             assert calls == []
             # the batch holds each picked pair once, user-major
-            _, slot = inp._column_fits
+            _, slot, _ = inp._column_fits
             users, cols = np.nonzero(slot >= 0)
             pairs = {(k, c) for k, cols_k in enumerate(own) for c in joint | set(cols_k.tolist())}
             assert set(zip(users.tolist(), cols.tolist())) == pairs
@@ -960,25 +960,30 @@ class TestSharedColumnFits:
 
     @pytest.mark.parametrize(
         "cfg",
-        [SystemConfig(), SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64)],
-        ids=["ula-t32", "upa-16x16"],
+        [
+            SystemConfig(),
+            SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
+            SystemConfig(n_pilots=128),
+        ],
+        ids=["ula-t32", "upa-16x16", "ula-t128"],
     )
     def test_each_per_input_operand_is_computed_once(self, cfg, monkeypatch):
         calls = []  # names of the per-input computations, one entry per call
 
-        def counting(name):
-            original = getattr(estimators, name)
-
-            def count(*args):
+        def counting(name, original):
+            def count(*args, **kwargs):
                 # a _pursue call with a roll table is the structured estimator's joint pass
                 if name != "_pursue" or len(args) == 3:
                     calls.append(name)
-                return original(*args)
+                return original(*args, **kwargs)
 
             return count
 
+        # Aᴴy of the measurements, made only where the pursuits refit from the Gram table
+        monkeypatch.setattr(_Atoms, "correlate", counting("correlate", _Atoms.correlate))
         for name in ("_column_power", "_Atoms", "_pursue"):
-            monkeypatch.setattr(estimators, name, counting(name))
+            monkeypatch.setattr(estimators, name, counting(name, getattr(estimators, name)))
+        gram_domain = cfg.n_pilots >= cfg.geometry.n_elements
         # trials 5 and 9 prune columns per user outside the joint support
         for trial in (0, 5, 9):
             _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
@@ -987,12 +992,16 @@ class TestSharedColumnFits:
             per_user = top_l_indices(np.sum(np.abs(fresh.Y) ** 2, axis=1), fresh.n_columns)
             fresh_oracle = estimate_oracle_ls(fresh, truth)
             calls.clear()
-            for order in itertools.permutations(GREEDY):
+            for i, greedy in enumerate(itertools.permutations(GREEDY)):
+                order = [*greedy[: i % 4], "oracle_ls", *greedy[i % 4 :]]  # each place in turn
                 inp = build_trial(cfg, trial_index=trial)[4]
-                oracle = estimate_oracle_ls(inp, truth)
-                reports = {name: GREEDY[name](inp) for name in order}
-                # one atoms, one column power and one single-column batch per input
-                assert sorted(calls) == ["_Atoms", "_column_power", "_pursue"]
+                reports = {name: ESTIMATORS[name](inp, truth) for name in order}
+                oracle = reports["oracle_ls"]
+                # one atoms, one column power and one single-column batch per input; at
+                # T >= N one Aᴴy for the pursuits, the fit table's, and one for the oracle
+                assert sorted(calls) == ["_Atoms", "_column_power", "_pursue"] + [
+                    "correlate", "correlate"
+                ] * gram_domain
                 calls.clear()
                 triple, row = reports["triple_structured"], reports["row_structured"]
                 conventional = reports["conventional_omp"]
@@ -1007,7 +1016,8 @@ class TestSharedColumnFits:
                 assert_bitwise_equal(oracle.values, fresh_oracle.values)
 
     def test_oracle_only_trial_fits_nothing(self, monkeypatch):
-        # an oracle-only trial, as the oracle_snr benchmark runs, builds no fit table
+        # an oracle-only trial, as the oracle_snr benchmark runs, computes no column
+        # power and builds no fit table
         calls = []
 
         def forbidden(name):
@@ -1018,11 +1028,20 @@ class TestSharedColumnFits:
             return record
 
         monkeypatch.setattr(estimators, "_pursue", forbidden("_pursue"))
+        power = estimators._column_power
+        monkeypatch.setattr(estimators, "_column_power", forbidden("_column_power"))
         monkeypatch.setattr(EstimatorInput, "_column_fits", property(forbidden("_column_fits")))
-        for trial in range(3):
-            result = run_trial(SystemConfig(estimators=("oracle_ls",)), trial)
+        correlate = _Atoms.correlate
+        monkeypatch.setattr(
+            _Atoms, "correlate", lambda *args: calls.append("correlate") or correlate(*args)
+        )
+        for t, trial in itertools.product((32, 128), range(3)):
+            result = run_trial(SystemConfig(n_pilots=t, estimators=("oracle_ls",)), trial)
             assert result.errors == {} and sorted(result.nmse_lin) == ["oracle_ls"]
-        assert calls == []
+        # at T >= N the oracle makes one Aᴴy of its own per trial, below it none
+        assert calls == ["correlate"] * 3
+        calls.clear()
+        monkeypatch.setattr(estimators, "_column_power", power)
         # a greedy estimator in the same trial does read the table
         result = run_trial(SystemConfig(estimators=("oracle_ls", "row_structured")), 0)
         assert sorted(result.nmse_lin) == ["oracle_ls"] and calls == ["_column_fits"]

@@ -651,7 +651,7 @@ def state():
 
 before = state()
 import risce, risce.channel, risce.cli, risce.config, risce.estimators, risce.harness
-import risce.numerics, risce.reference, risce.sensing
+import risce.numerics, risce.sensing
 print(json.dumps({"before": before, "after": state()}))
 """
 
@@ -683,12 +683,11 @@ def test_public_surface():
         "ArrayGeometry", "ChannelRealization", "DEFAULT_ESTIMATORS", "ESTIMATORS",
         "EstimateReport", "EstimatorInput", "GroundTruth", "MeasurementSet", "NMSE_FLOOR_DB",
         "RisBsPath", "SensingSetup", "StructureViolation", "SweepResult", "SystemConfig",
-        "TrialResult", "UeRisPath", "beamspace_cascaded", "cascade_spatial",
-        "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp", "dense_channels", "dft_matrix",
+        "TrialResult", "UeRisPath", "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp",
         "emit_results", "estimate_common_offsets", "estimate_conventional_omp",
         "estimate_oracle_ls", "estimate_row_structured", "estimate_triple_structured",
-        "extract_ground_truth", "generate_channels", "generate_phase_schedule", "grid_sine",
+        "extract_ground_truth", "generate_channels", "generate_phase_schedule",
         "joint_column_support", "load_results", "ls_solve", "make_sensing_setup", "nmse",
         "nmse_linear", "offset_structured_somp", "run_sweep", "run_trial", "shift_indices",
-        "signed_shift", "simulate_measurements", "steering_ula", "steering_upa", "top_l_indices",
+        "signed_shift", "simulate_measurements", "top_l_indices",
     }

@@ -12,7 +12,7 @@ from risce.numerics import (
     signed_shift,
     top_l_indices,
 )
-from risce.reference import dft_matrix
+from reference import dft_matrix
 
 
 class TestDftMatrix:

@@ -11,7 +11,6 @@ from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_cha
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import EstimatorInput
 from risce.harness import trial_rng
-from risce.reference import beamspace_cascaded, cascade_spatial, dense_channels, dft_matrix
 from risce.sensing import (
     GroundTruth,
     StructureViolation,
@@ -22,6 +21,7 @@ from risce.sensing import (
     shift_indices,
     simulate_measurements,
 )
+from reference import beamspace_cascaded, cascade_spatial, dense_channels, dft_matrix
 from util import build_trial, known_shift_scenario, per_user_measurements
 
 
