@@ -33,15 +33,6 @@ def _csv_floats(text: str) -> list[float]:
     return [float(item) for item in text.split(",") if item.strip()]
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _int_pair(text: str, form: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -62,7 +53,7 @@ class _Option(NamedTuple):
     to_field: Callable = lambda value: value  # that value -> the field's value
 
 
-# file-parsing and help order; noiseless comes after snr_db, so that it wins
+# file-parsing and help order
 _OPTIONS = {
     "n_bs": _Option("n_bs", int, dict(type=int, help="BS antenna count")),
     "n_ris": _Option(
@@ -86,13 +77,7 @@ _OPTIONS = {
         tuple,
     ),
     "pilots": _Option("n_pilots", int, dict(type=int, help="pilot length")),
-    "snr_db": _Option("snr_db", float, dict(type=float, help="operating SNR in dB")),
-    "noiseless": _Option(
-        "snr_db",
-        lambda text: _parse_bool(text) or None,  # false leaves snr_db alone, as no flag does
-        dict(action="store_true", default=None, help="disable measurement noise"),
-        lambda on: None,
-    ),
+    "snr_db": _Option("snr_db", float, dict(type=float, help="operating SNR in dB; inf: no noise")),
     "trials": _Option("trials", int, dict(type=int, help="Monte Carlo trials per axis point")),
     "seed": _Option("base_seed", int, dict(type=int, help="base seed for the trial streams")),
     "estimators": _Option("estimators", str, dict(help="comma-separated estimator names"), _names),
@@ -198,13 +183,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _resolve_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    axis = "snr" if args.command == "sweep-snr" else "pilot_length"
-    values = [config.n_pilots] if args.command == "single" else args.values
-    try:
+        axis = "snr" if args.command == "sweep-snr" else "pilot_length"
+        values = [config.n_pilots] if args.command == "single" else args.values
         result = run_sweep(config, axis, values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

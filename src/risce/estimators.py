@@ -324,7 +324,6 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None, c0=None) -> _Purs
     table = rolls.T  # n x C: row p lists the rows anchor p selects, column 0's being p itself
     budgets = np.asarray(budgets, dtype=int)
     kmax = int(budgets.max(initial=0))
-    ends = set(budgets.tolist())
     ys = np.ascontiguousarray(Y, dtype=complex)
     if atoms.gram_domain:
         c0 = (atoms.correlate(ys.reshape(-1, t)) if c0 is None else c0).reshape(n_prob, n_cols, n)
@@ -336,12 +335,12 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None, c0=None) -> _Purs
     history = np.zeros((n_prob, kmax, n_cols))
     count = np.zeros(n_prob, dtype=int)
     deficient = np.zeros(n_prob, dtype=bool)
-    used = np.zeros((n, n_prob), dtype=bool)
     live = np.arange(n_prob)
     sel = slice(None)  # the live problems: a slice until one drops, then live itself
     for k in range(kmax):
-        if k in ends:
-            live = sel = live[budgets[live] > k]
+        unspent = budgets[live] > k
+        if not unspent.all():
+            live = sel = live[unspent]
             if live.size == 0:
                 break
         if atoms.gram_domain:  # the last refit's rows and coefficients, k of each
@@ -352,7 +351,7 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None, c0=None) -> _Purs
         metric = power[:, :, 0]  # n x live: the reference column on the anchors' own rows
         for c in range(1, n_cols):
             metric = metric + power[rolls[c], :, c]
-        metric[used[:, sel]] = -np.inf
+        metric[rows[sel, 0, :k], np.arange(live.size)[:, None]] = -np.inf  # each problem's anchors
         best = np.argmax(metric, axis=0)
         hit = metric[best, np.arange(best.size)] > 0.0
         if not hit.all():
@@ -360,7 +359,6 @@ def _pursue(atoms: _Atoms, Y: np.ndarray, budgets, rolls=None, c0=None) -> _Purs
             sel = live
             if live.size == 0:
                 break
-        used[best, live] = True
         rows[sel, 0, k] = best
         picked = table[np.sort(rows[sel, 0, : k + 1], axis=1)]  # live x (k+1) x C
         picked[:, :, 1:].sort(axis=1)  # column 0, the anchors, is sorted already

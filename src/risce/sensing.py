@@ -125,14 +125,17 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
     conj(g_p * h_q) / sqrt(N_I) at column b_p and at row r_p - u_q, taken per
     axis modulo the (n1, n2) grid and flattened.  So the columns are the BS
     beams, each column's rows are the user's pattern shifted by r_p - r_0, and
-    the shifts are the same for every user.  Raises StructureViolation for
-    path lists that break this one-entry-per-pair form: no BS path, two BS
-    paths on one BS beam, two paths of one user on one reflector index, or a
-    zero gain; a per-user violation names the first user that has one.  All
-    users' entries go into one users x n_elements x len(col_support) array in
-    one scatter.
+    the shifts are the same for every user.  Raises ValueError, before any
+    other check, when the realization and the setup are on different element
+    grids.  Raises StructureViolation for path lists that break this
+    one-entry-per-pair form: no BS path, two BS paths on one BS beam, two
+    paths of one user on one reflector index, or a zero gain; a per-user
+    violation names the first user that has one.  All users' entries go into
+    one users x n_elements x len(col_support) array in one scatter.
     """
     geometry = setup.geometry
+    if realization.geometry != geometry:
+        raise ValueError(f"realization drawn on {realization.geometry}, setup built on {geometry}")
     dims = (geometry.n1, geometry.n2)
     if not realization.g_paths:
         raise StructureViolation("no reflector-to-BS path: every column is empty")

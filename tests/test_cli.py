@@ -1,12 +1,14 @@
 """End-to-end tests for the benchmark command line."""
 
+import math
+
 import pytest
 
 import risce.cli as cli
 import risce.harness as harness
 from risce.cli import main
 from risce.config import ArrayGeometry, SystemConfig
-from risce.harness import CSV_HEADER, load_results
+from risce.harness import CSV_HEADER, emit_results, load_results, run_sweep
 
 SMALL = [
     "--n-bs", "16",
@@ -44,7 +46,7 @@ class TestSingle:
     def test_noiseless_oracle_recovers_to_machine_precision(self, tmp_path):
         out = tmp_path / "clean.csv"
         code = main(
-            ["single", *SMALL, "--pilots", "16", "--noiseless",
+            ["single", *SMALL, "--pilots", "16", "--snr-db", "inf",
              "--estimators", "oracle_ls", "--out", str(out)]
         )
         assert code == 0
@@ -160,11 +162,10 @@ class TestConfigFile:
         cfg.write_text("n_ris = 64\nupa = 8x8\n", encoding="utf-8")
         assert main(["single", "--config", str(cfg)]) == 1
 
-    # one bad value per value type: integer, integer pair, float, boolean
+    # one bad value per value type: integer, integer pair, float
     @pytest.mark.parametrize(
         "key, value, culprit",
-        [("pilots", "3x", "'3x'"), ("upa", "16x", "''"), ("snr_db", "loud", "'loud'"),
-         ("noiseless", "maybe", "'maybe'")],
+        [("pilots", "3x", "'3x'"), ("upa", "16x", "''"), ("snr_db", "loud", "'loud'")],
     )
     def test_bad_value_names_file_and_key(self, tmp_path, capsys, key, value, culprit):
         cfg = tmp_path / "bad.cfg"
@@ -189,6 +190,35 @@ class TestConfigFile:
         ]
         assert configs[0] == configs[1]
         assert configs[1].n_pilots == 16 and configs[1].n_bs == 16
+
+
+class TestNoiseless:
+    """`--snr-db inf` (in a file, `snr_db = inf`) is the one way to ask for a run without noise."""
+
+    def test_every_spelling_writes_the_same_csv(self, tmp_path):
+        cfg = tmp_path / "clean.cfg"
+        cfg.write_text("snr_db = inf\n", encoding="utf-8")
+        flag, from_file, library = (tmp_path / f"{name}.csv" for name in ("flag", "file", "lib"))
+        args = ["single", *SMALL, "--pilots", "16"]
+        assert main([*args, "--snr-db", "inf", "--out", str(flag)]) == 0
+        assert main([*args, "--config", str(cfg), "--out", str(from_file)]) == 0
+        config = SystemConfig(n_bs=16, geometry=ArrayGeometry.ula(32), n_users=3, bs_paths=2,
+                              ue_paths=(2, 3), n_pilots=16, snr_db=None, trials=3, base_seed=7)
+        emit_results(run_sweep(config, "pilot_length", [16]), library)
+        assert flag.read_bytes() == from_file.read_bytes() == library.read_bytes()
+
+    def test_noiseless_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["single", *SMALL, "--pilots", "16", "--estimators", "oracle_ls", "--noiseless"])
+        assert info.value.code == 1
+        assert "unrecognized arguments: --noiseless" in capsys.readouterr().err
+
+    def test_noiseless_key_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("pilots = 16\nnoiseless = true\n", encoding="utf-8")
+        args = ["single", *SMALL, "--estimators", "oracle_ls", "--config", str(cfg)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.rstrip() == f"error: {cfg}:2: unknown key 'noiseless'"
 
 
 class TestErrors:
@@ -249,12 +279,12 @@ def test_calls_in_one_process_parse_independently(monkeypatch):
     monkeypatch.setattr(cli, "run_sweep", recording)
     assert main(["sweep-snr", "--values=-5,5", "--pilots", "16", "--users", "2"]) == 1
     assert main(["sweep-t", "--trials", "3"]) == 1
-    assert main(["single", "--noiseless", "--upa", "4", "8"]) == 1
+    assert main(["single", "--snr-db", "inf", "--upa", "4", "8"]) == 1
     assert main(["sweep-t"]) == 1
     assert cli.build_parser() is cli.build_parser()
     assert seen == [
         (SystemConfig(n_pilots=16, n_users=2), "snr", [-5.0, 5.0]),
         (SystemConfig(trials=3), "pilot_length", [16, 32, 64, 128]),
-        (SystemConfig(snr_db=None, geometry=ArrayGeometry.upa(4, 8)), "pilot_length", [32]),
+        (SystemConfig(snr_db=math.inf, geometry=ArrayGeometry.upa(4, 8)), "pilot_length", [32]),
         (SystemConfig(), "pilot_length", [16, 32, 64, 128]),
     ]

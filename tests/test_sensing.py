@@ -312,6 +312,26 @@ class TestExtractGroundTruth:
             extract_ground_truth(real, setup)
 
     @pytest.mark.parametrize(
+        "drawn_on, built_on",
+        [
+            (ArrayGeometry.ula(128), ArrayGeometry.ula(64)),
+            (ArrayGeometry.ula(64), ArrayGeometry.ula(128)),
+            (ArrayGeometry.upa(16, 8), ArrayGeometry.upa(8, 16)),
+        ],
+        ids=["ula128-on-ula64", "ula64-on-ula128", "upa16x8-on-upa8x16"],
+    )
+    def test_realization_on_another_grid_is_rejected(self, drawn_on, built_on):
+        # indices drawn on one grid read as valid, but wrong, entries of another
+        cfg = SystemConfig(geometry=drawn_on, n_users=2, bs_paths=2, ue_paths=(1, 2))
+        for seed in range(20):
+            rng = trial_rng(seed, 0, 0)
+            real = generate_channels(cfg, rng)
+            setup = make_sensing_setup(cfg.n_bs, built_on, 4, rng)
+            with pytest.raises(ValueError) as info:
+                extract_ground_truth(real, setup)
+            assert repr(drawn_on) in str(info.value) and repr(built_on) in str(info.value)
+
+    @pytest.mark.parametrize(
         "geometry",
         [ArrayGeometry.ula(128), ArrayGeometry.upa(16, 16), ArrayGeometry.upa(8, 16)],
         ids=["ula128", "upa16x16", "upa8x16"],
