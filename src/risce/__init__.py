@@ -1,6 +1,6 @@
 """Structured compressive-sensing cascaded channel estimation for reflector-aided uplinks."""
 
-from .channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
+from .channel import ChannelRealization, generate_channels
 from .config import DEFAULT_ESTIMATORS, ArrayGeometry, SystemConfig
 from .estimators import (
     EstimateReport,
@@ -21,7 +21,6 @@ from .harness import (
     TrialResult,
     emit_results,
     load_results,
-    nmse,
     nmse_linear,
     run_sweep,
     run_trial,

@@ -2,9 +2,9 @@
 
 Angles live on the DFT-aligned sine grid, so every steering vector projects to
 exactly one DFT beam and beamspace supports can be reasoned about as integer
-grid indices.  A draw is its path lists; the tests' reference model
-(tests/reference.py) builds the dense steering-vector form of the same
-channels.
+grid indices.  A draw is its grid indices and gains, kept as the arrays the
+RNG returns; the tests' reference model (tests/reference.py) builds the dense
+steering-vector form of the same channels.
 """
 
 from __future__ import annotations
@@ -15,45 +15,29 @@ import numpy as np
 
 from .config import ArrayGeometry, SystemConfig
 
-RisIndex = int | tuple[int, int]
-
-
-@dataclass(frozen=True)
-class RisBsPath:
-    """One reflector-to-BS path: complex gain plus arrival/departure grid indices."""
-
-    gain: complex
-    bs_index: int
-    ris_index: RisIndex
-
-
-@dataclass(frozen=True)
-class UeRisPath:
-    """One user-to-reflector path: complex gain plus the reflector-side grid index."""
-
-    gain: complex
-    ris_index: RisIndex
-
 
 @dataclass
 class ChannelRealization:
-    """One draw as path lists; on the grid these determine every channel entry."""
+    """One draw as index and gain arrays; on the grid these determine every channel entry.
+
+    Reflector indices are flat, i1 * n2 + i2 on the (n1, n2) element grid.
+    Path p of the reflector-to-BS link arrives on BS beam g_beams[p], leaves
+    reflector index g_ris[p] and has gain g_gains[p].  User k's paths arrive
+    on reflector indices h_paths[k] with gains h_gains[k], so len(h_paths[k])
+    is user k's path count.
+    """
 
     geometry: ArrayGeometry
     n_bs: int  # BS antenna count
-    g_paths: list[RisBsPath]
-    h_paths: list[list[UeRisPath]]
+    g_beams: np.ndarray
+    g_ris: np.ndarray
+    g_gains: np.ndarray
+    h_paths: list[np.ndarray]
+    h_gains: list[np.ndarray]
 
 
-def _complex_gains(rng: np.random.Generator, size: int) -> list[complex]:
-    return ((rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)).tolist()
-
-
-def _public_indices(geometry: ArrayGeometry, flat: np.ndarray) -> list[RisIndex]:
-    """Flat grid indices in public form: ints on a linear array, (i1, i2) on a planar one."""
-    if not geometry.is_planar:
-        return flat.tolist()
-    return list(zip(*(axis.tolist() for axis in np.divmod(flat, geometry.n2))))
+def _complex_gains(rng: np.random.Generator, size: int) -> np.ndarray:
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
 def generate_channels(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -64,21 +48,18 @@ def generate_channels(config: SystemConfig, rng: np.random.Generator) -> Channel
     Draw order is fixed (reflector-to-BS link first, then users in order) so a
     seeded generator reproduces the realization exactly.
     """
-    geometry = config.geometry
-    n_i = geometry.n_elements
-
-    bs_indices = rng.choice(config.n_bs, size=config.bs_paths, replace=False).tolist()
-    ris_flat = rng.choice(n_i, size=config.bs_paths, replace=False)
+    n_i = config.geometry.n_elements
+    g_beams = rng.choice(config.n_bs, size=config.bs_paths, replace=False)
+    g_ris = rng.choice(n_i, size=config.bs_paths, replace=False)
     g_gains = _complex_gains(rng, config.bs_paths)
-    g_paths = list(map(RisBsPath, g_gains, bs_indices, _public_indices(geometry, ris_flat)))
 
     lo, hi = config.ue_paths
-    h_paths: list[list[UeRisPath]] = []
+    h_paths, h_gains = [], []
     for _ in range(config.n_users):
         n_paths = int(rng.integers(lo, hi + 1))
-        ue_flat = rng.choice(n_i, size=n_paths, replace=False)
-        ue_gains = _complex_gains(rng, n_paths)
-        h_paths.append(list(map(UeRisPath, ue_gains, _public_indices(geometry, ue_flat))))
+        h_paths.append(rng.choice(n_i, size=n_paths, replace=False))
+        h_gains.append(_complex_gains(rng, n_paths))
 
-    return ChannelRealization(geometry=geometry, n_bs=config.n_bs, g_paths=g_paths, h_paths=h_paths)
-
+    return ChannelRealization(
+        config.geometry, config.n_bs, g_beams, g_ris, g_gains, h_paths, h_gains
+    )

@@ -46,7 +46,7 @@ class ArrayGeometry:
     """Reflector element layout: linear ("ula", n1 elements) or planar ("upa", n1 x n2).
 
     Both are the (n1, n2) element grid, flat index i1 * n2 + i2; a linear array
-    has n2 == 1 and differs only in the public form of indices and offsets.
+    has n2 == 1 and differs only in the public form of offsets.
     """
 
     kind: str
@@ -83,7 +83,7 @@ class ArrayGeometry:
         return (i1, i2) if self.is_planar else i1
 
     def to_pair(self, value) -> tuple[int, int]:
-        """Inverse of to_public: the per-axis pair of a public index or offset."""
+        """Inverse of to_public: the per-axis pair of a public offset."""
         return (int(value[0]), int(value[1])) if self.is_planar else (int(value), 0)
 
 

@@ -2,7 +2,7 @@
 
 Per-trial NMSE is aggregated in the linear domain and converted to dB once per
 cell; the reported standard error is the linear-domain standard error of the
-mean propagated to dB.
+mean propagated to dB, and 0.0 for a mean floored at NMSE_FLOOR_DB.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def _to_db(mean_linear: float) -> float:
     if mean_linear <= 0.0:
         return NMSE_FLOOR_DB
     return max(10.0 * math.log10(mean_linear), NMSE_FLOOR_DB)
-
-
-def nmse(H_hat: np.ndarray, H_true: np.ndarray) -> float:
-    """NMSE in dB, floored at NMSE_FLOOR_DB so exact recovery stays finite."""
-    return _to_db(nmse_linear(H_hat, H_true))
 
 
 @dataclass
@@ -251,13 +246,17 @@ class SweepResult:
 
 
 def _aggregate(ratios: list[float], failures: Counter) -> CellStats:
-    """A cell from its trials' linear NMSEs and its failed trials counted by message."""
+    """A cell from its trials' linear NMSEs and its failed trials counted by message.
+
+    A mean floored at NMSE_FLOOR_DB has a standard error of 0.0: the spread of
+    the round-off NMSEs beneath the floor does not describe the floored mean.
+    """
     n = len(ratios)
     mean_db = stderr_db = None
     if n > 0:
         mean_lin = float(np.mean(ratios))
         mean_db, stderr_db = _to_db(mean_lin), 0.0
-        if n >= 2 and mean_lin > 0.0:
+        if n >= 2 and mean_db > NMSE_FLOOR_DB:
             se_lin = float(np.std(ratios, ddof=1)) / math.sqrt(n)
             stderr_db = 10.0 / math.log(10.0) * se_lin / mean_lin
     return CellStats(mean_db, stderr_db, n, failures.total(), dict(failures))

@@ -1,5 +1,5 @@
 """Pilot-side model: reflector phase schedules, the FFT sensing matrix, noisy
-measurements, and the sparse ground truth built in closed form from the path lists.
+measurements, and the sparse ground truth built in closed form from the channel draw.
 
 Measurement convention for user k:
 
@@ -36,7 +36,7 @@ Offset = int | tuple[int, int]
 
 
 class StructureViolation(RuntimeError):
-    """A path list breaks the one-entry-per-path-pair form of the on-grid beamspace model."""
+    """A channel draw breaks the one-entry-per-path-pair form of the on-grid beamspace model."""
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def roll_map(offsets: list[Offset], geometry: ArrayGeometry) -> np.ndarray:
 
 
 def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -> GroundTruth:
-    """Build the sparse beamspace channels and their joint sparsity metadata from the path lists.
+    """Build the sparse beamspace channels and their joint sparsity metadata from the draw.
 
     On the grid, BS path p (beam b_p, reflector index r_p, gain g_p) and user
     path q (reflector index u_q, gain h_q) fill exactly one entry of H_k:
@@ -127,41 +127,50 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
     beams, each column's rows are the user's pattern shifted by r_p - r_0, and
     the shifts are the same for every user.  Raises ValueError, before any
     other check, when the realization and the setup are on different element
-    grids.  Raises StructureViolation for path lists that break this
-    one-entry-per-pair form: no BS path, two BS paths on one BS beam, two
-    paths of one user on one reflector index, or a zero gain; a per-user
-    violation names the first user that has one.  All users' entries go into
-    one users x n_elements x len(col_support) array in one scatter.
+    grids, and then when a BS beam lies outside [0, n_bs) or a reflector index
+    outside [0, N_I), naming the link and the first such index.  Raises
+    StructureViolation for a draw that breaks this one-entry-per-pair form: no
+    BS path, two BS paths on one BS beam, two paths of one user on one
+    reflector index, or a zero gain; a per-user violation names the first
+    user that has one.  All users' entries go into one users x n_elements x
+    len(col_support) array in one scatter.
     """
     geometry = setup.geometry
     if realization.geometry != geometry:
         raise ValueError(f"realization drawn on {realization.geometry}, setup built on {geometry}")
-    dims = (geometry.n1, geometry.n2)
-    if not realization.g_paths:
+    n1, n2, n_i = geometry.n1, geometry.n2, geometry.n_elements
+    # every user's paths in one flat array, user-major: path q belongs to user[q]
+    n_users = len(realization.h_paths)
+    counts = np.array([len(paths) for paths in realization.h_paths], dtype=int)
+    user = np.repeat(np.arange(n_users), counts)
+    u_ris = np.concatenate(realization.h_paths)
+    for what, indices, size, owner in (
+        ("BS beam", realization.g_beams, realization.n_bs, None),
+        ("reflector index", realization.g_ris, n_i, None),
+        ("reflector index", u_ris, n_i, user),
+    ):
+        bad = np.flatnonzero((indices < 0) | (indices >= size))
+        if bad.size:
+            link = "reflector-to-BS link" if owner is None else f"user {owner[bad[0]]}"
+            raise ValueError(f"{link}: {what} {indices[bad[0]]} outside [0, {size})")
+
+    if not realization.g_beams.size:
         raise StructureViolation("no reflector-to-BS path: every column is empty")
-    g_paths = sorted(realization.g_paths, key=lambda path: path.bs_index)
-    col_support = np.array([path.bs_index for path in g_paths], dtype=int)
+    by_beam = np.argsort(realization.g_beams, kind="stable")
+    col_support = realization.g_beams[by_beam]
     if np.unique(col_support).size != col_support.size:
         raise StructureViolation("two reflector-to-BS paths share one BS beam")
-    g_ris = np.array([geometry.to_pair(path.ris_index) for path in g_paths], dtype=int)
-    g_gains = np.array([path.gain for path in g_paths], dtype=complex)
-
+    g1, g2 = np.divmod(realization.g_ris[by_beam], n2)
     offsets: list[Offset] = [
-        geometry.to_public([signed_shift(d, n) for d, n in zip(ris - g_ris[0], dims)])
-        for ris in g_ris
+        geometry.to_public((signed_shift(d1, n1), signed_shift(d2, n2)))
+        for d1, d2 in zip(g1 - g1[0], g2 - g2[0])
     ]
 
-    # every user's paths in one flat list, user-major: path q belongs to user[q]
-    n_users = len(realization.h_paths)
-    counts = np.array([len(user_paths) for user_paths in realization.h_paths], dtype=int)
-    user = np.repeat(np.arange(n_users), counts)
-    paths = [path for user_paths in realization.h_paths for path in user_paths]
-    u_ris = np.array([geometry.to_pair(path.ris_index) for path in paths], dtype=int).reshape(-1, 2)
-    u_gains = np.array([path.gain for path in paths], dtype=complex)
+    u1, u2 = np.divmod(u_ris, n2)
     # rows[p, q]: flat row of the (BS path p, path q) entry, in column p of user[q]'s block
-    axes = (g_ris[:, None, :] - u_ris[None, :, :]) % dims
-    rows = np.ravel_multi_index(tuple(np.moveaxis(axes, -1, 0)), dims)
-    values = np.conj(np.outer(g_gains, u_gains)) / np.sqrt(geometry.n_elements)
+    rows = ((g1[:, None] - u1) % n1) * n2 + (g2[:, None] - u2) % n2
+    u_gains = np.concatenate(realization.h_gains)
+    values = np.conj(np.outer(realization.g_gains[by_beam], u_gains)) / np.sqrt(n_i)
 
     # each user's rows of the first column, ascending: equal neighbours share a reflector index
     order = np.lexsort((rows[0], user))
@@ -176,7 +185,7 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
             raise StructureViolation(f"user {k}: two paths share one reflector index")
         raise StructureViolation(f"user {k}: a zero path gain leaves an entry empty")
 
-    channels = np.zeros((n_users, geometry.n_elements, col_support.size), dtype=complex)
+    channels = np.zeros((n_users, n_i, col_support.size), dtype=complex)
     channels[user, rows, np.arange(col_support.size)[:, None]] = values
     return GroundTruth(
         values=channels,

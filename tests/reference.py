@@ -2,9 +2,9 @@
 spatial channels and the beamspace transform.
 
 This is a test module, outside the package, so no trial can call it; a trial
-works from the path lists and the closed-form sparse truth.  Tests hold that
-trial path to these definitions, so everything here is built from explicit
-sums and DFT matrices, never from an FFT.
+works from the draw's index and gain arrays and the closed-form sparse truth.
+Tests hold that trial path to these definitions, so everything here is built
+from explicit sums and DFT matrices, never from an FFT.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import functools
 
 import numpy as np
 
-from risce.channel import ChannelRealization, RisIndex
+from risce.channel import ChannelRealization
 from risce.config import ArrayGeometry
 
 
@@ -43,27 +43,30 @@ def steering_upa(n1: int, n2: int, grid_az: int, grid_el: int) -> np.ndarray:
     return np.kron(steering_ula(n1, grid_az), steering_ula(n2, grid_el))
 
 
-def ris_steering(geometry: ArrayGeometry, index: RisIndex) -> np.ndarray:
-    """Reflector-side steering vector for a grid index in public form (see ArrayGeometry)."""
-    return steering_upa(geometry.n1, geometry.n2, *geometry.to_pair(index))
+def ris_steering(geometry: ArrayGeometry, index: int) -> np.ndarray:
+    """Reflector-side steering vector for a flat grid index i1 * n2 + i2 (read-only)."""
+    return _ris_steering_table(geometry.n1, geometry.n2)[index]
 
 
-def dense_channels(realization: ChannelRealization) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Dense G (n_bs x n_elements) and per-user h as steering-vector sums over the path lists."""
+@functools.cache
+def _ris_steering_table(n1: int, n2: int) -> np.ndarray:
+    """Row m is steering_upa at flat index m; read-only, as calls share it."""
+    table = np.array([steering_upa(n1, n2, *divmod(m, n2)) for m in range(n1 * n2)])
+    table.flags.writeable = False
+    return table
+
+
+def dense_channels(realization: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:
+    """Dense G (n_bs x n_elements) and users x n_elements h: steering-vector sums over paths."""
     geometry = realization.geometry
     n_bs = realization.n_bs
-    n_i = geometry.n_elements
-    G = np.zeros((n_bs, n_i), dtype=complex)
-    for path in realization.g_paths:
-        a_bs = steering_ula(n_bs, path.bs_index)
-        a_ris = ris_steering(geometry, path.ris_index)
-        G += path.gain * np.outer(a_bs, np.conj(a_ris))
-    h = []
-    for user_paths in realization.h_paths:
-        h_k = np.zeros(n_i, dtype=complex)
-        for path in user_paths:
-            h_k += path.gain * ris_steering(geometry, path.ris_index)
-        h.append(h_k)
+    G = np.zeros((n_bs, geometry.n_elements), dtype=complex)
+    for beam, index, gain in zip(realization.g_beams, realization.g_ris, realization.g_gains):
+        G += gain * np.outer(steering_ula(n_bs, beam), np.conj(ris_steering(geometry, index)))
+    h = np.zeros((len(realization.h_paths), geometry.n_elements), dtype=complex)
+    for h_k, indices, gains in zip(h, realization.h_paths, realization.h_gains):
+        for index, gain in zip(indices, gains):
+            h_k += gain * ris_steering(geometry, index)
     return G, h
 
 
@@ -84,14 +87,16 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
 
 
-def beamspace_cascaded(G: np.ndarray, h_k: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Beamspace cascaded channel f_ris @ (G @ diag(h_k))^H @ f_bs^H for one user.
+def beamspace_cascaded(G: np.ndarray, h: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """Beamspace cascaded channel f_ris @ (G @ diag(h_k))^H @ f_bs^H, per user of h.
 
-    f_bs is the unitary DFT of the BS array and f_ris = kron(dft(n1), dft(n2)).
+    h is one user's h_k or a users x N stack, giving one matrix or a users
+    axis of them.  f_bs is the unitary DFT of the BS array and
+    f_ris = kron(dft(n1), dft(n2)).  (G @ diag(h_k))^H is diag(conj(h_k)) @ G^H,
+    so G^H @ f_bs^H is formed once for every user.
     """
-    spatial = cascade_spatial(G, h_k)
     f_ris, f_bs_h = _beamspace_transforms(G.shape[0], geometry.n1, geometry.n2)
-    return f_ris @ spatial.conj().T @ f_bs_h
+    return f_ris @ (np.conj(h)[..., :, None] * (G.conj().T @ f_bs_h))
 
 
 @functools.cache

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
+from risce.channel import generate_channels
 from risce.config import ArrayGeometry, SystemConfig
 from reference import (
     cascade_spatial,
@@ -17,7 +17,7 @@ from reference import (
     steering_ula,
     steering_upa,
 )
-from util import double_sum_cascade, phase_ramp
+from util import double_sum_cascade, hand_draw, phase_ramp, same_draw
 
 
 class TestGridSine:
@@ -87,26 +87,18 @@ class TestSteeringUpa:
 
 
 class TestAssembleChannels:
-    """Dense assembly of G and h from the path lists (`dense_channels`)."""
+    """Dense assembly of G and h from the draw's arrays (`dense_channels`)."""
 
     def test_single_path_rank_one(self):
         gain = 0.7 - 1.2j
-        G, _ = dense_channels(
-            ChannelRealization(
-                ArrayGeometry.ula(16),
-                8,
-                [RisBsPath(gain=gain, bs_index=2, ris_index=5)],
-                [[UeRisPath(gain=1.0 + 0.0j, ris_index=3)]],
-            )
-        )
+        G, _ = dense_channels(hand_draw(ArrayGeometry.ula(16), 8, [(gain, 2, 5)], [[(1.0, 3)]]))
         assert np.linalg.matrix_rank(G) == 1
         assert abs(np.linalg.norm(G) - abs(gain)) < 1e-12
         expected = gain * np.outer(steering_ula(8, 2), np.conj(steering_ula(16, 5)))
         npt.assert_allclose(G, expected, atol=1e-14)
 
     def test_user_vector_superposition(self):
-        paths = [UeRisPath(gain=2.0 + 0.0j, ris_index=1), UeRisPath(gain=-1.0j, ris_index=4)]
-        _, h = dense_channels(ChannelRealization(ArrayGeometry.ula(8), 4, [], [paths]))
+        _, h = dense_channels(hand_draw(ArrayGeometry.ula(8), 4, [], [[(2.0, 1), (-1.0j, 4)]]))
         expected = 2.0 * steering_ula(8, 1) - 1.0j * steering_ula(8, 4)
         npt.assert_allclose(h[0], expected, atol=1e-14)
 
@@ -120,20 +112,14 @@ class TestGenerateChannels:
         npt.assert_array_equal(G_a, G_b)
         for ha, hb in zip(h_a, h_b):
             npt.assert_array_equal(ha, hb)
-        assert a.g_paths == b.g_paths
-        assert a.h_paths == b.h_paths
+        assert same_draw(a, b)
 
     def test_distinct_grid_indices_per_draw(self):
         cfg = SystemConfig()
         for seed in range(10):
             real = generate_channels(cfg, np.random.default_rng(seed))
-            bs = [p.bs_index for p in real.g_paths]
-            depart = [p.ris_index for p in real.g_paths]
-            assert len(set(bs)) == len(bs)
-            assert len(set(depart)) == len(depart)
-            for user in real.h_paths:
-                arrive = [p.ris_index for p in user]
-                assert len(set(arrive)) == len(arrive)
+            for indices in (real.g_beams, real.g_ris, *real.h_paths):
+                assert np.unique(indices).size == indices.size
 
     def test_path_count_range_is_inclusive(self):
         cfg = SystemConfig()
@@ -150,32 +136,27 @@ class TestGenerateChannels:
         G, _ = dense_channels(real)
         n_bs, n_i = G.shape
         rebuilt = np.zeros_like(G)
-        for p in real.g_paths:
-            a_bs = phase_ramp(n_bs, 2.0 * p.bs_index / n_bs)
-            a_ris = phase_ramp(n_i, 2.0 * p.ris_index / n_i)
-            rebuilt += p.gain * np.outer(a_bs, np.conj(a_ris))
+        for beam, index, gain in zip(real.g_beams, real.g_ris, real.g_gains):
+            a_bs = phase_ramp(n_bs, 2.0 * beam / n_bs)
+            a_ris = phase_ramp(n_i, 2.0 * index / n_i)
+            rebuilt += gain * np.outer(a_bs, np.conj(a_ris))
         npt.assert_allclose(G, rebuilt, atol=1e-12)
 
     def test_planar_draw_uses_axis_pairs(self):
         cfg = dataclasses.replace(SystemConfig(), geometry=ArrayGeometry.upa(8, 16), n_users=4)
         real = generate_channels(cfg, np.random.default_rng(5))
-        for p in real.g_paths:
-            az, el = p.ris_index
-            assert 0 <= az < 8 and 0 <= el < 16
-        flat = [np.ravel_multi_index(p.ris_index, (8, 16)) for p in real.g_paths]
-        assert len(set(flat)) == len(flat)
+        # reflector indices are flat on the (8, 16) grid: i1 * 16 + i2
+        for indices in (real.g_ris, *real.h_paths):
+            assert indices.dtype.kind == "i"
+            assert np.all((indices >= 0) & (indices < 8 * 16))
+        az, el = np.divmod(real.g_ris[0], 16)
         npt.assert_allclose(
-            ris_steering(real.geometry, real.g_paths[0].ris_index),
-            steering_upa(8, 16, *real.g_paths[0].ris_index),
-            atol=1e-15,
+            ris_steering(real.geometry, real.g_ris[0]), steering_upa(8, 16, az, el), atol=1e-15
         )
-        assert all(type(i) is int for p in real.g_paths for i in p.ris_index)
-        # a linear array runs as the n2 == 1 grid, but its indices stay plain ints
+        # a linear array runs as the n2 == 1 grid: its flat index is its grid index
         ula = dataclasses.replace(cfg, geometry=ArrayGeometry.ula(128))
         linear = generate_channels(ula, np.random.default_rng(5))
-        paths = linear.g_paths + [p for user in linear.h_paths for p in user]
-        assert all(type(p.ris_index) is int for p in paths)
-        first = paths[0].ris_index
+        first = linear.g_ris[0]
         npt.assert_array_equal(ris_steering(ula.geometry, first), steering_ula(128, first))
 
     def test_invalid_sparsity_rejected(self):
@@ -199,12 +180,7 @@ class TestCascadeSpatial:
             cascade_spatial(np.ones((3, 5)), np.ones(4))
 
     def test_single_path_matches_analytic_outer_product(self):
-        real = ChannelRealization(
-            ArrayGeometry.ula(16),
-            8,
-            [RisBsPath(gain=1.3 + 0.2j, bs_index=3, ris_index=7)],
-            [[UeRisPath(gain=-0.4 + 0.9j, ris_index=2)]],
-        )
+        real = hand_draw(ArrayGeometry.ula(16), 8, [(1.3 + 0.2j, 3, 7)], [[(-0.4 + 0.9j, 2)]])
         G, h = dense_channels(real)
         got = cascade_spatial(G, h[0])
         npt.assert_allclose(got, double_sum_cascade(real)[0], atol=1e-10)

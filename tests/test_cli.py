@@ -54,6 +54,14 @@ class TestSingle:
         assert rows[0]["estimator"] == "oracle_ls"
         assert rows[0]["nmse_db"] < -250.0  # least-squares rounding only
 
+    def test_floored_cell_reports_zero_stderr(self, tmp_path):
+        # README's noiseless example: the oracle's mean is floored at -300 dB, so the
+        # delta-method spread of the round-off NMSEs beneath it (0.303 dB) is not its spread
+        out = tmp_path / "floored.csv"
+        command = ["single", "--upa", "8", "16", "--users", "8", "--snr-db", "inf"]
+        assert main([*command, "--trials", "10", "--out", str(out)]) == 0
+        assert "32,oracle_ls,-300.0,0.0,10" in out.read_text(encoding="utf-8").splitlines()
+
     def test_estimator_subset(self, tmp_path):
         out = tmp_path / "subset.csv"
         code = main(

@@ -29,13 +29,13 @@ from risce.harness import (
     _aligned,
     emit_results,
     load_results,
-    nmse,
     nmse_linear,
     run_sweep,
     run_trial,
     trial_rng,
 )
 from risce.sensing import GroundTruth
+from util import same_draw
 
 
 def small_config(**overrides):
@@ -82,16 +82,18 @@ class TestNmse:
         est[0][0, 0] += 0.2
         # error 0.04 over energy 4 is 0.01, i.e. -20 dB
         npt.assert_allclose(nmse_linear(est, truth), 0.01, rtol=1e-12)
-        npt.assert_allclose(nmse(est, truth), -20.0, rtol=1e-12)
+        npt.assert_allclose(harness._to_db(nmse_linear(est, truth)), -20.0, rtol=1e-12)
 
     def test_exact_recovery_hits_floor(self):
         truth = [np.ones((3, 4), dtype=complex)]
         assert nmse_linear(truth, truth) == 0.0
-        assert nmse(truth, truth) == NMSE_FLOOR_DB
+        assert harness._to_db(nmse_linear(truth, truth)) == NMSE_FLOOR_DB
+        cell = harness._aggregate([0.0, 0.0], Counter())
+        assert (cell.mean_db, cell.stderr_db) == (NMSE_FLOOR_DB, 0.0)
 
     def test_zero_estimate_is_zero_db(self):
         truth = [np.ones((3, 4), dtype=complex)]
-        assert nmse([np.zeros((3, 4), dtype=complex)], truth) == 0.0
+        assert harness._to_db(nmse_linear([np.zeros((3, 4), dtype=complex)], truth)) == 0.0
 
     def test_pools_error_and_energy_over_users(self):
         truth = [np.ones((1, 1), dtype=complex), 3.0 * np.ones((1, 1), dtype=complex)]
@@ -246,8 +248,10 @@ class TestDrawTrial:
     def test_channels_come_first_from_the_trial_stream(self):
         cfg = small_config()
         realization, *_ = harness.draw_trial(cfg, trial_index=4, axis_index=2)
-        assert realization == generate_channels(cfg, trial_rng(cfg.base_seed, 2, 4))
-        assert harness.draw_trial(cfg)[0] == generate_channels(cfg, trial_rng(cfg.base_seed, 0, 0))
+        assert same_draw(realization, generate_channels(cfg, trial_rng(cfg.base_seed, 2, 4)))
+        first = generate_channels(cfg, trial_rng(cfg.base_seed, 0, 0))
+        assert same_draw(harness.draw_trial(cfg)[0], first)
+        assert not same_draw(realization, first)
 
     def test_tests_draw_with_the_harness(self):
         import util
@@ -682,12 +686,12 @@ def test_public_surface():
     assert exported == {
         "ArrayGeometry", "ChannelRealization", "DEFAULT_ESTIMATORS", "ESTIMATORS",
         "EstimateReport", "EstimatorInput", "GroundTruth", "MeasurementSet", "NMSE_FLOOR_DB",
-        "RisBsPath", "SensingSetup", "StructureViolation", "SweepResult", "SystemConfig",
-        "TrialResult", "UeRisPath", "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp",
+        "SensingSetup", "StructureViolation", "SweepResult", "SystemConfig",
+        "TrialResult", "circ_xcorr_1d", "circ_xcorr_2d", "coarse_omp",
         "emit_results", "estimate_common_offsets", "estimate_conventional_omp",
         "estimate_oracle_ls", "estimate_row_structured", "estimate_triple_structured",
         "extract_ground_truth", "generate_channels", "generate_phase_schedule",
-        "joint_column_support", "load_results", "ls_solve", "make_sensing_setup", "nmse",
+        "joint_column_support", "load_results", "ls_solve", "make_sensing_setup",
         "nmse_linear", "offset_structured_somp", "run_sweep", "run_trial", "shift_indices",
         "signed_shift", "simulate_measurements", "top_l_indices",
     }

@@ -2,12 +2,13 @@
 ground-truth sparsity extraction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from risce.channel import ChannelRealization, RisBsPath, UeRisPath, generate_channels
+from risce.channel import generate_channels
 from risce.config import ArrayGeometry, SystemConfig
 from risce.estimators import EstimatorInput
 from risce.harness import trial_rng
@@ -22,7 +23,7 @@ from risce.sensing import (
     simulate_measurements,
 )
 from reference import beamspace_cascaded, cascade_spatial, dense_channels, dft_matrix
-from util import build_trial, known_shift_scenario, per_user_measurements
+from util import build_trial, hand_draw, known_shift_scenario, per_user_measurements
 
 
 def independent_beamspace(spatial: np.ndarray) -> np.ndarray:
@@ -67,12 +68,7 @@ class TestSensingSetup:
 
 class TestBeamspaceCascaded:
     def test_all_dc_single_entry(self):
-        real = ChannelRealization(
-            ArrayGeometry.ula(16),
-            8,
-            [RisBsPath(gain=1.0 + 0.0j, bs_index=0, ris_index=0)],
-            [[UeRisPath(gain=1.0 + 0.0j, ris_index=0)]],
-        )
+        real = hand_draw(ArrayGeometry.ula(16), 8, [(1.0, 0, 0)], [[(1.0, 0)]])
         G, h = dense_channels(real)
         H = beamspace_cascaded(G, h[0], real.geometry)
         assert abs(H[0, 0] - 1.0 / np.sqrt(16)) < 1e-12
@@ -98,16 +94,11 @@ class TestBeamspaceCascaded:
     def test_user_grid_shift_moves_row_support(self):
         # moving the user path from grid qa to qb shifts the rows by qa - qb
         geometry = ArrayGeometry.ula(32)
-        g_paths = [
-            RisBsPath(gain=0.8 - 0.1j, bs_index=2, ris_index=4),
-            RisBsPath(gain=1.1 + 0.5j, bs_index=9, ris_index=21),
-        ]
+        g_paths = [(0.8 - 0.1j, 2, 4), (1.1 + 0.5j, 9, 21)]
         qa, qb = 5, 18
         rows = {}
         for q in (qa, qb):
-            G, h = dense_channels(
-                ChannelRealization(geometry, 16, g_paths, [[UeRisPath(gain=1.0 + 0.0j, ris_index=q)]])
-            )
+            G, h = dense_channels(hand_draw(geometry, 16, g_paths, [[(1.0, q)]]))
             H = beamspace_cascaded(G, h[0], geometry)
             rows[q] = np.flatnonzero(np.max(np.abs(H), axis=1) > 1e-9)
         expected = np.sort((rows[qa] + (qa - qb)) % 32)
@@ -238,44 +229,43 @@ class TestExtractGroundTruth:
     def test_structural_break_is_detected(self):
         # two reflector-to-BS paths landing on one BS beam merge two columns
         geometry = ArrayGeometry.ula(32)
-        g_paths = [
-            RisBsPath(gain=1.0 + 0.0j, bs_index=5, ris_index=2),
-            RisBsPath(gain=1.0 + 0.0j, bs_index=5, ris_index=9),
-        ]
-        h_paths = [[UeRisPath(gain=1.0 + 0.0j, ris_index=0)]]
-        real = ChannelRealization(geometry, 16, g_paths, h_paths)
+        real = hand_draw(geometry, 16, [(1.0, 5, 2), (1.0, 5, 9)], [[(1.0, 0)]])
         setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
-        with pytest.raises(StructureViolation):
+        message = "^two reflector-to-BS paths share one BS beam$"
+        with pytest.raises(StructureViolation, match=message):
             extract_ground_truth(real, setup)
 
     @pytest.mark.parametrize(
-        "g_paths, h_paths",
+        "g_paths, h_paths, message",
         [
             # two paths of one user on one reflector index merge two rows
             (
-                [RisBsPath(1.0 + 0.0j, 5, 2), RisBsPath(1.0 + 0.0j, 7, 9)],
-                [[UeRisPath(1.0 + 0.0j, 3)], [UeRisPath(1.0 + 0.0j, 4), UeRisPath(0.5j, 4)]],
+                [(1.0, 5, 2), (1.0, 7, 9)],
+                [[(1.0, 3)], [(1.0, 4), (0.5j, 4)]],
+                "user 1: two paths share one reflector index",
             ),
             # a zero user-path gain leaves its entries empty
             (
-                [RisBsPath(1.0 + 0.0j, 5, 2)],
-                [[UeRisPath(1.0 + 0.0j, 3), UeRisPath(0j, 8)]],
+                [(1.0, 5, 2)],
+                [[(1.0, 3), (0j, 8)]],
+                "user 0: a zero path gain leaves an entry empty",
             ),
             # a zero reflector-to-BS gain empties a whole column
             (
-                [RisBsPath(0j, 5, 2), RisBsPath(1.0 + 0.0j, 7, 9)],
-                [[UeRisPath(1.0 + 0.0j, 3)]],
+                [(0j, 5, 2), (1.0, 7, 9)],
+                [[(1.0, 3)]],
+                "user 0: a zero path gain leaves an entry empty",
             ),
             # no reflector-to-BS path leaves every column empty
-            ([], [[UeRisPath(1.0 + 0.0j, 3)]]),
+            ([], [[(1.0, 3)]], "no reflector-to-BS path: every column is empty"),
         ],
         ids=["repeated-user-index", "zero-user-gain", "zero-bs-gain", "empty-g-paths"],
     )
-    def test_malformed_path_lists_are_rejected(self, g_paths, h_paths):
+    def test_malformed_path_lists_are_rejected(self, g_paths, h_paths, message):
         geometry = ArrayGeometry.ula(32)
-        real = ChannelRealization(geometry, 16, g_paths, h_paths)
+        real = hand_draw(geometry, 16, g_paths, h_paths)
         setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
-        with pytest.raises(StructureViolation):
+        with pytest.raises(StructureViolation, match=f"^{message}$"):
             extract_ground_truth(real, setup)
 
     @pytest.mark.parametrize(
@@ -293,22 +283,61 @@ class TestExtractGroundTruth:
                 [[(1.0, 3)], [(0j, 4), (1.0, 6)], [(1.0, 7)], [(1.0, 9), (2.0, 9)]],
                 "user 1: a zero path gain leaves an entry empty",
             ),
-            # user 3 has both faults; the repeated index is named first
+            # user 3 has both faults; the repeated index is named first.  Flat
+            # indices on the 4 x 8 grid: (0, 1) is 1, (2, 3) 19, (1, 1) 9, (3, 5) 29
             (
                 ArrayGeometry.upa(4, 8),
-                [[(1.0, (0, 1))], [(1.0, (2, 3))], [(1.0, (1, 1))], [(0j, (3, 5)), (1.0, (3, 5))]],
+                [[(1.0, 1)], [(1.0, 19)], [(1.0, 9)], [(0j, 29), (1.0, 29)]],
                 "user 3: two paths share one reflector index",
             ),
         ],
         ids=["repeated-index-user-2", "zero-gain-user-1", "planar-both-user-3"],
     )
     def test_violation_names_the_first_offending_user(self, geometry, h_paths, message):
-        ris = [(0, 2), (1, 5)] if geometry.is_planar else [2, 9]
-        g_paths = [RisBsPath(1.0 + 0.0j, 5, ris[0]), RisBsPath(1.0 + 0.0j, 7, ris[1])]
-        users = [[UeRisPath(complex(gain), index) for gain, index in user] for user in h_paths]
-        real = ChannelRealization(geometry, 16, g_paths, users)
+        ris = [2, 13] if geometry.is_planar else [2, 9]  # (0, 2) and (1, 5) on the 4 x 8 grid
+        real = hand_draw(geometry, 16, [(1.0, 5, ris[0]), (1.0, 7, ris[1])], h_paths)
         setup = make_sensing_setup(16, geometry, 4, np.random.default_rng(0))
         with pytest.raises(StructureViolation, match=f"^{message}$"):
+            extract_ground_truth(real, setup)
+
+    @pytest.mark.parametrize(
+        "geometry, g_paths, h_paths, message",
+        [
+            # index 130 on 128 elements would wrap to row 126
+            (
+                ArrayGeometry.ula(128),
+                [(1.0, 5, 130)],
+                [[(1.0, 4)]],
+                "reflector-to-BS link: reflector index 130 outside [0, 128)",
+            ),
+            # -3 would land on row 3
+            (
+                ArrayGeometry.ula(128),
+                [(1.0, 5, 0)],
+                [[(1.0, 4)], [(1.0, 7), (1.0, -3)]],
+                "user 1: reflector index -3 outside [0, 128)",
+            ),
+            # beam 70 of 64 would fail only later, indexing the measurements
+            (
+                ArrayGeometry.ula(128),
+                [(1.0, 70, 0)],
+                [[(1.0, 4)]],
+                "reflector-to-BS link: BS beam 70 outside [0, 64)",
+            ),
+            # checked before the shared beam and the zero gain, on the flat planar grid
+            (
+                ArrayGeometry.upa(8, 16),
+                [(0j, 5, 2), (1.0, 5, 9)],
+                [[(1.0, 4)], [(1.0, 128)]],
+                "user 1: reflector index 128 outside [0, 128)",
+            ),
+        ],
+        ids=["ris-130-of-128", "user-ris-minus-3", "beam-70-of-64", "planar-before-structure"],
+    )
+    def test_off_grid_index_is_rejected(self, geometry, g_paths, h_paths, message):
+        real = hand_draw(geometry, 64, g_paths, h_paths)
+        setup = make_sensing_setup(64, geometry, 4, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             extract_ground_truth(real, setup)
 
     @pytest.mark.parametrize(
@@ -346,15 +375,15 @@ class TestExtractGroundTruth:
             setup = make_sensing_setup(cfg.n_bs, geometry, 4, rng)
             truth = extract_ground_truth(real, setup)
             G, h = dense_channels(real)
-            for k in range(cfg.n_users):
-                dense = beamspace_cascaded(G, h[k], geometry)
-                worst = max(worst, float(np.max(np.abs(truth.H[k] - dense))))
-                expected = {
-                    (row, c)
-                    for j, c in enumerate(truth.col_support)
-                    for row in shift_indices(truth.row_patterns[k], truth.offsets[j], geometry)
-                }
-                assert set(zip(*np.nonzero(truth.H[k]))) == expected
+            dense = beamspace_cascaded(G, h, geometry)
+            worst = max(worst, float(np.max(np.abs(truth.H - dense))))
+            # nonzero entries: each user's pattern rolled by each column's offset
+            patterns = np.concatenate(truth.row_patterns)
+            users = np.repeat(np.arange(cfg.n_users), list(map(len, truth.row_patterns)))
+            rows = roll_map(truth.offsets, geometry)[:, patterns]  # C x (all users' paths)
+            expected = np.zeros(truth.H.shape, dtype=bool)
+            expected[users, rows, truth.col_support[:, None]] = True
+            npt.assert_array_equal(truth.H != 0, expected)
         assert worst <= 1e-12
 
     def test_many_draws_satisfy_structure(self):

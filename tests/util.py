@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from risce.channel import ChannelRealization, RisBsPath, UeRisPath
+from risce.channel import ChannelRealization
 from risce.config import ArrayGeometry, is_noiseless, snr_ratio
 from risce.harness import draw_trial as build_trial
 
@@ -37,26 +37,58 @@ def double_sum_cascade(realization) -> list[np.ndarray]:
 
     Each (reflector-to-BS path, user path) pair contributes
     gain_g * gain_u / sqrt(N) * outer(a_bs, conj(b)) where b is the steering
-    ramp at the difference of the two reflector-side grid sines.
+    ramp at the difference of the two reflector-side grid sines, per axis.
     """
     geom = realization.geometry
     n_bs = realization.n_bs
     n_i = geom.n_elements
+    # as Python scalars: each term's arithmetic is one path pair's, outside numpy
+    g_paths = list(
+        zip(realization.g_beams.tolist(), realization.g_ris.tolist(), realization.g_gains.tolist())
+    )
     out = []
-    for user_paths in realization.h_paths:
+    for indices, gains in zip(realization.h_paths, realization.h_gains):
         M = np.zeros((n_bs, n_i), dtype=complex)
-        for gp in realization.g_paths:
-            a_bs = phase_ramp(n_bs, 2.0 * gp.bs_index / n_bs)
-            for up in user_paths:
+        for beam, g_index, g_gain in g_paths:
+            a_bs = phase_ramp(n_bs, 2.0 * beam / n_bs)
+            for u_index, u_gain in zip(indices.tolist(), gains.tolist()):
                 if geom.is_planar:
-                    d_az = 2.0 * (gp.ris_index[0] - up.ris_index[0]) / geom.n1
-                    d_el = 2.0 * (gp.ris_index[1] - up.ris_index[1]) / geom.n2
+                    (g1, g2), (u1, u2) = divmod(g_index, geom.n2), divmod(u_index, geom.n2)
+                    d_az = 2.0 * (g1 - u1) / geom.n1
+                    d_el = 2.0 * (g2 - u2) / geom.n2
                     b = np.kron(phase_ramp(geom.n1, d_az), phase_ramp(geom.n2, d_el))
                 else:
-                    b = phase_ramp(n_i, 2.0 * (gp.ris_index - up.ris_index) / n_i)
-                M += gp.gain * up.gain / np.sqrt(n_i) * np.outer(a_bs, np.conj(b))
+                    b = phase_ramp(n_i, 2.0 * (g_index - u_index) / n_i)
+                M += g_gain * u_gain / np.sqrt(n_i) * np.outer(a_bs, np.conj(b))
         out.append(M)
     return out
+
+
+def hand_draw(geometry, n_bs, g_paths, h_paths) -> ChannelRealization:
+    """A draw built by hand: g_paths lists (gain, BS beam, flat reflector index)
+    triples, and h_paths[k] user k's (gain, flat reflector index) pairs."""
+    g = np.array(g_paths, dtype=complex).reshape(-1, 3)
+    users = [np.array(paths, dtype=complex).reshape(-1, 2) for paths in h_paths]
+    return ChannelRealization(
+        geometry,
+        n_bs,
+        g[:, 1].real.astype(int),
+        g[:, 2].real.astype(int),
+        g[:, 0],
+        [user[:, 1].real.astype(int) for user in users],
+        [user[:, 0] for user in users],
+    )
+
+
+def same_draw(a, b) -> bool:
+    """Whether two channel draws are equal: every index and gain array by dtype and value."""
+    if (a.geometry, a.n_bs, len(a.h_paths)) != (b.geometry, b.n_bs, len(b.h_paths)):
+        return False
+    pairs = zip(
+        [a.g_beams, a.g_ris, a.g_gains, *a.h_paths, *a.h_gains],
+        [b.g_beams, b.g_ris, b.g_gains, *b.h_paths, *b.h_gains],
+    )
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
 
 
 def known_shift_scenario(n_users: int = 2):
@@ -69,23 +101,20 @@ def known_shift_scenario(n_users: int = 2):
     geometry = ArrayGeometry.ula(64)
     bs_beams = [5, 12, 40]
     departures = [0, 48, 54]
-    g_paths = [
-        RisBsPath(gain=1.0 + 0.0j, bs_index=b, ris_index=p)
-        for b, p in zip(bs_beams, departures)
-    ]
     arrivals = [[44, 29, 26, 14], [3, 9, 27, 58]]
-    h_paths = [
-        [UeRisPath(gain=1.0 + 0.0j, ris_index=q) for q in user]
-        for user in arrivals[:n_users]
-    ]
-    realization = ChannelRealization(geometry, 64, g_paths, h_paths)
+    real = hand_draw(
+        geometry,
+        64,
+        [(1.0, b, p) for b, p in zip(bs_beams, departures)],
+        [[(1.0, q) for q in user] for user in arrivals[:n_users]],
+    )
     expected_offsets = [0, -16, -10]
     expected_rows_user0 = [
         [20, 35, 38, 50],
         [4, 19, 22, 34],
         [10, 25, 28, 40],
     ]
-    return realization, expected_offsets, expected_rows_user0
+    return real, expected_offsets, expected_rows_user0
 
 
 def per_user_measurements(truth, setup, snr_db, rng) -> list[np.ndarray]:
