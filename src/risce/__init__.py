@@ -20,7 +20,6 @@ from .harness import (
     SweepResult,
     TrialResult,
     emit_results,
-    load_results,
     nmse_linear,
     run_sweep,
     run_trial,

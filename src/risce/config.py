@@ -9,11 +9,6 @@ from numbers import Integral, Real
 DEFAULT_ESTIMATORS = ("oracle_ls", "triple_structured", "row_structured", "conventional_omp")
 
 
-def is_noiseless(snr_db: float | None) -> bool:
-    """None and +inf both mean a run without measurement noise."""
-    return snr_db is None or snr_db == math.inf
-
-
 # Lowest accepted SNR.  The per-trial linear NMSE grows as 1/SNR (up to about
 # 2e151 at this bound), and a cell's standard error squares it: 100-trial cells
 # first gave an infinite stderr at -1530 dB with 8 pilots and at -1560 dB in the
@@ -22,17 +17,24 @@ MIN_SNR_DB = -1500.0
 
 
 def snr_ratio(snr_db: float) -> float:
-    """Linear SNR 10**(snr_db/10); ValueError unless snr_db >= MIN_SNR_DB and the ratio is finite.
+    """The linear SNR 10**(snr_db/10) as a Python float: the one check of an SNR.
 
-    The accepted range is -1500 dB up to where the ratio overflows, about +3082 dB.
+    snr_db must be a real number (not a bool), and is read as a Python float,
+    so every numeric type gives the same ratio.  +inf gives inf, a run without
+    measurement noise; any other value must lie from -1500 dB up to where the
+    ratio overflows, about +3082 dB.  ValueError otherwise.
     """
+    if not isinstance(snr_db, Real) or isinstance(snr_db, bool):
+        raise ValueError(f"snr_db must be a real number, got {snr_db!r}")
+    if snr_db == math.inf:
+        return math.inf
     try:
-        ratio = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:  # snr_db or its ratio beyond the float range
         ratio = math.inf
     if not (snr_db >= MIN_SNR_DB and ratio < math.inf):
         raise ValueError(
-            f"snr_db must be +inf, None or {MIN_SNR_DB:g} to about +3082 dB, got {snr_db!r}"
+            f"snr_db must be +inf or {MIN_SNR_DB:g} to about +3082 dB, got {snr_db!r}"
         )
     return ratio
 
@@ -91,8 +93,8 @@ class ArrayGeometry:
 class SystemConfig:
     """One benchmark scenario.
 
-    Every field is checked at construction.  snr_db of None or +inf runs
-    noiseless; any other value must pass snr_ratio.  bs_paths is the number of
+    Every field is checked at construction; snr_db through snr_ratio, and
+    +inf runs without measurement noise.  bs_paths is the number of
     reflector-to-BS paths (the shared beamspace column count) and ue_paths
     bounds the per-user path count drawn uniformly at random, inclusive on
     both ends.
@@ -104,7 +106,7 @@ class SystemConfig:
     bs_paths: int = 4
     ue_paths: tuple[int, int] = (4, 8)
     n_pilots: int = 32
-    snr_db: float | None = 0.0
+    snr_db: float = 0.0
     trials: int = 100
     base_seed: int = 0
     estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
@@ -127,17 +129,10 @@ class SystemConfig:
             raise ValueError(f"ue_paths must be a (min, max) pair, got {self.ue_paths!r}") from None
         if not (_is_int(lo) and _is_int(hi)) or not 1 <= lo <= hi <= n_i:
             raise ValueError(f"ue_paths range ({lo}, {hi}) invalid for {n_i} reflector elements")
-        if not is_noiseless(self.snr_db):
-            if not isinstance(self.snr_db, Real) or isinstance(self.snr_db, bool):
-                raise ValueError(f"snr_db must be a number, +inf or None, got {self.snr_db!r}")
-            snr_ratio(self.snr_db)
+        snr_ratio(self.snr_db)
         if isinstance(self.estimators, str):
             raise ValueError(f"estimators must be a sequence of names, got {self.estimators!r}")
         if not self.estimators:
             raise ValueError("at least one estimator must be selected")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError("estimator list contains duplicates")
-
-    @property
-    def noiseless(self) -> bool:
-        return is_noiseless(self.snr_db)

@@ -267,19 +267,18 @@ def run_sweep(config: SystemConfig, axis: str, values: list) -> SweepResult:
 
     Every value is checked as given (32.7 or True pilots, or an SNR of "5",
     raise ValueError), then the values are sorted and deduplicated.  On the
-    SNR axis None is the noiseless point, the same as +inf, kept as inf, and
-    -0.0 is kept as 0.0.  Each (axis point, trial) pair gets its own seed
-    stream, so results do not depend on the order values are given in, and
-    every point is checked before the first trial runs.  A cell counts its
-    failed trials by message in CellStats.failure_reasons.  The trials run
-    with OpenBLAS at one thread (see _one_blas_thread); the caller's thread
-    count is restored after.
+    SNR axis +inf is the noiseless point and -0.0 is kept as 0.0.  Each
+    (axis point, trial) pair gets its own seed stream, so results do not
+    depend on the order values are given in, and every point is checked
+    before the first trial runs.  A cell counts its failed trials by message
+    in CellStats.failure_reasons.  The trials run with OpenBLAS at one thread
+    (see _one_blas_thread); the caller's thread count is restored after.
     """
     if axis == "pilot_length":
         field, kind = "n_pilots", int
     elif axis == "snr":
         # + 0.0 turns -0.0 into 0.0: the set below keeps whichever of the two comes first
-        field, kind = "snr_db", lambda value: math.inf if value is None else float(value) + 0.0
+        field, kind = "snr_db", lambda value: float(value) + 0.0
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected 'pilot_length' or 'snr'")
     for value in values:
@@ -331,36 +330,3 @@ def emit_results(result: SweepResult, path) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def _parse_axis(text: str) -> int | float:
-    """Inverse of _format_axis: integer literals (pilot lengths) as int, the rest as float."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def load_results(path) -> list[dict]:
-    """Parse a results CSV back into typed rows (None where a cell errored)."""
-    text = Path(path).read_text(encoding="utf-8-sig")  # a spreadsheet may save a byte-order mark
-    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line]
-    if not lines or lines[0][1] != CSV_HEADER:
-        raise ValueError(f"unrecognized results header in {path}")
-    rows = []
-    for lineno, line in lines[1:]:
-        try:
-            axis_value, estimator, nmse_field, stderr_field, trials = line.split(",")
-            rows.append(
-                {
-                    "axis": _parse_axis(axis_value),
-                    "estimator": estimator,
-                    "nmse_db": None if nmse_field == "error" else float(nmse_field),
-                    "stderr_db": None if stderr_field == "error" else float(stderr_field),
-                    "trials": int(trials),
-                }
-            )
-        except ValueError as exc:
-            message = f"{path}:{lineno}: expected a row of {CSV_HEADER!r}, got {line!r}"
-            raise ValueError(message) from exc
-    return rows

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelRealization
-from .config import ArrayGeometry, is_noiseless, snr_ratio
+from .config import ArrayGeometry, snr_ratio
 from .numerics import grid_axes, signed_shift
 
 # the benchmark tracer wraps these two names on this module, so they stay imported here
@@ -199,7 +199,7 @@ def extract_ground_truth(realization: ChannelRealization, setup: SensingSetup) -
 def simulate_measurements(
     truth: GroundTruth,
     setup: SensingSetup,
-    snr_db: float | None,
+    snr_db: float,
     rng: np.random.Generator,
 ) -> MeasurementSet:
     """Generate Y_k = A @ H_k + W_k for every user, as one users x n_pilots x n_bs array.
@@ -208,18 +208,17 @@ def simulate_measurements(
     product of A with truth.values; the other columns of Y_k are noise alone.
     The noise variance is calibrated against the realized signal so that
     10*log10(mean_k ||A @ H_k||_F^2 / (n_pilots * n_bs * sigma^2)) equals
-    snr_db; snr_db of None or +inf disables noise.  Any other value must pass
-    config.snr_ratio and give a finite variance; ValueError otherwise, raised
-    before any noise is drawn.  Every user's noise is one n_pilots x n_bs draw,
-    in user order, whatever its occupied columns.
+    snr_db, read through config.snr_ratio; +inf disables noise.  A value
+    snr_ratio rejects, or one that gives a variance that is not finite, raises
+    ValueError before any noise is drawn.  Every user's noise is one
+    n_pilots x n_bs draw, in user order, whatever its occupied columns.
     """
-    noiseless = is_noiseless(snr_db)
-    ratio = None if noiseless else snr_ratio(snr_db)
+    ratio = snr_ratio(snr_db)
     signal = setup.sensing_matrix @ truth.values  # users x n_pilots x len(col_support)
     n_users, n_pilots, _ = signal.shape
     shape = (n_pilots, truth.n_bs)
     variance = 0.0
-    if noiseless:
+    if ratio == math.inf:
         Y = np.zeros((n_users, *shape), dtype=complex)
     else:
         mean_power = float(np.mean(np.sum(np.abs(signal) ** 2, axis=(1, 2))))

@@ -5,13 +5,16 @@ Run it in each source tree to compare, from the tree's root:
     PYTHONPATH=src python tests/fingerprint.py [SET ...]
 
 It prints one `SET sha256` line per set, every set when none is named.  The
-sets are the benchmark's three workloads at their default seed:
+first three sets are the benchmark's three workloads at their default seed;
+the fourth is the noiseless path, which none of those runs:
 
 - canonical: the default scenario at 32 and 128 pilots (axis indices 0 and
   1), trials 0-99 each;
 - planar: a 16x16 planar reflector at 64 pilots, trials 0-99;
 - oracle_snr: the oracle alone at 64 pilots, -10 to 10 dB in 5 dB steps
-  (axis indices 0-4), 10 trials each.
+  (axis indices 0-4), 10 trials each;
+- noiseless: the default scenario at snr_db = +inf, at 32 and 64 pilots
+  (axis indices 0 and 1), trials 0-49 each.
 
 Each trial is drawn by harness.draw_trial, inside harness._one_blas_thread()
 as run_sweep's trials are.  Per estimator the digest takes its columns, the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import sys
 
 import numpy as np
@@ -52,6 +56,7 @@ SETS = {
         (-10.0, -5.0, 0.0, 5.0, 10.0),
         10,
     ),
+    "noiseless": lambda: _points(SystemConfig(snr_db=math.inf), "n_pilots", (32, 64), 50),
 }
 
 

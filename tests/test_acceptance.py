@@ -10,6 +10,7 @@ twice that length, and only prints the 128-pilot gaps.
 """
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -115,7 +116,7 @@ def test_a3_estimator_ordering_and_margin(canonical):
 
 
 def test_a4_noiseless_structure_recovery():
-    cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+    cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
     hits = 0
     for trial in range(100):
         _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
@@ -134,8 +135,8 @@ def test_a4_noiseless_structure_recovery():
 
 def test_a5_offset_recovery_both_layouts():
     scenarios = {
-        "linear": dataclasses.replace(SystemConfig(), snr_db=None),
-        "planar": SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=None),
+        "linear": dataclasses.replace(SystemConfig(), snr_db=math.inf),
+        "planar": SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=math.inf),
     }
     counts = {}
     # the coarse columns of the structured estimator's row pass, at one OpenBLAS

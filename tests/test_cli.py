@@ -8,7 +8,8 @@ import risce.cli as cli
 import risce.harness as harness
 from risce.cli import main
 from risce.config import ArrayGeometry, SystemConfig
-from risce.harness import CSV_HEADER, emit_results, load_results, run_sweep
+from risce.harness import CSV_HEADER, emit_results, run_sweep
+from util import load_results
 
 SMALL = [
     "--n-bs", "16",
@@ -211,7 +212,7 @@ class TestNoiseless:
         assert main([*args, "--snr-db", "inf", "--out", str(flag)]) == 0
         assert main([*args, "--config", str(cfg), "--out", str(from_file)]) == 0
         config = SystemConfig(n_bs=16, geometry=ArrayGeometry.ula(32), n_users=3, bs_paths=2,
-                              ue_paths=(2, 3), n_pilots=16, snr_db=None, trials=3, base_seed=7)
+                              ue_paths=(2, 3), n_pilots=16, snr_db=math.inf, trials=3, base_seed=7)
         emit_results(run_sweep(config, "pilot_length", [16]), library)
         assert flag.read_bytes() == from_file.read_bytes() == library.read_bytes()
 

@@ -13,6 +13,7 @@ column-block path to the dense definitions.
 import ast
 import dataclasses
 import inspect
+import math
 import sys
 from pathlib import Path
 
@@ -163,7 +164,7 @@ def test_blocks_are_views_of_one_user_stack(case):
 def test_noiseless_measurements_match_the_dense_product(case):
     # the block product need not be bitwise the full one: with one column
     # numpy multiplies by a matrix-vector kernel instead
-    config = dataclasses.replace(CONFIGS[case], snr_db=None)
+    config = dataclasses.replace(CONFIGS[case], snr_db=math.inf)
     _, setup, truth, meas, _ = build_trial(config)
     for Y_k, H_k in zip(meas.Y, truth.H, strict=True):
         npt.assert_allclose(Y_k, setup.sensing_matrix @ H_k, rtol=0, atol=1e-13)

@@ -1,11 +1,12 @@
 """Tests for scenario validation: every SystemConfig is checked when it is built."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from risce.config import ArrayGeometry, SystemConfig, is_noiseless
+from risce.config import ArrayGeometry, SystemConfig, snr_ratio
 
 
 class TestSystemConfig:
@@ -39,23 +40,28 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="base_seed"):
             SystemConfig(base_seed=-1)
 
-    # 4000 dB overflows 10**(snr_db/10); anything below -1500 dB is out of range
+    # 4000 dB overflows 10**(snr_db/10), as 10**400 overflows a float; anything
+    # below -1500 dB is out of range
     @pytest.mark.parametrize(
         "snr_db",
-        [float("nan"), float("-inf"), "0", 1j, 4000.0, -4000.0, -3200.0, -3076.0, -1501.0],
+        [
+            float("nan"), float("-inf"), "0", "5", 1j, True, 4000.0, -4000.0, -3200.0,
+            -3076.0, -1600.0, -1501.0, pytest.param(10**400, id="10**400"),
+        ],
     )
     def test_bad_snr_rejected(self, snr_db):
         with pytest.raises(ValueError, match="snr_db"):
             SystemConfig(snr_db=snr_db)
 
-    @pytest.mark.parametrize("snr_db", [None, float("inf")])
-    def test_noiseless_spellings(self, snr_db):
-        assert SystemConfig(snr_db=snr_db).noiseless
-        assert is_noiseless(snr_db)
+    def test_inf_is_the_one_noiseless_spelling(self):
+        assert snr_ratio(SystemConfig(snr_db=math.inf).snr_db) == math.inf
+        with pytest.raises(ValueError) as info:
+            SystemConfig(snr_db=None)
+        assert str(info.value) == "snr_db must be a real number, got None"
 
     @pytest.mark.parametrize("snr_db", [-30.0, 0, 40.0, -1500.0, 3082.0])
     def test_finite_snr_is_noisy(self, snr_db):
-        assert not SystemConfig(snr_db=snr_db).noiseless
+        assert 0.0 < snr_ratio(SystemConfig(snr_db=snr_db).snr_db) < math.inf
 
     def test_replace_is_validated(self):
         with pytest.raises(ValueError, match="n_pilots"):

@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 from risce.cli import _OPTIONS, build_parser
-from risce.harness import load_results
+from util import load_results
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")

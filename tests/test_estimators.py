@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -168,7 +169,7 @@ class TestJointColumnSupport:
         npt.assert_array_equal(joint_column_support([Y], 2), [3, 17])
 
     def test_noiseless_matches_ground_truth(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf)
         _, _, truth, meas, _ = build_trial(cfg)
         npt.assert_array_equal(joint_column_support(meas.Y, cfg.bs_paths), truth.col_support)
 
@@ -303,7 +304,7 @@ class TestOffsetStructuredSomp:
             npt.assert_array_equal(coef, dense[rows])
 
     def test_noiseless_exact_recovery_with_true_offsets(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
         _, setup, truth, meas, inp = build_trial(cfg)
         for k in range(2):
             fit = offset_structured_somp(
@@ -335,7 +336,7 @@ class TestOffsetStructuredSomp:
         assert np.all(diffs <= 1e-9)
 
     def test_oversized_budget_keeps_recovery_exact(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
         _, setup, truth, meas, inp = build_trial(cfg)
         fit = offset_structured_somp(
             meas.Y[0][:, truth.col_support],
@@ -669,7 +670,7 @@ class TestGramRefit:
     def test_greedy_fit_on_the_true_support_is_the_oracle_fit(self):
         # 64 pilots refit from gathered atoms, 128 (T = N) from the Gram table
         for t, trial in itertools.product((64, 128), range(3)):
-            cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=t)
+            cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=t)
             _, _, truth, _, inp = build_trial(cfg, trial_index=trial)
             oracle = estimate_oracle_ls(inp, truth)
             matched = 0
@@ -687,7 +688,7 @@ class TestGramRefit:
 
 class TestTripleStructured:
     def test_noiseless_exact_recovery(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_triple_structured(inp)
         npt.assert_array_equal(report.col_support, truth.col_support)
@@ -722,7 +723,7 @@ class TestTripleStructured:
 
 class TestRowStructuredBaseline:
     def test_noiseless_recovery(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_row_structured(inp)
         npt.assert_array_equal(report.col_support, truth.col_support)
@@ -738,8 +739,8 @@ class TestRowStructuredBaseline:
         "cfg",
         [
             SystemConfig(),
-            dataclasses.replace(SystemConfig(), snr_db=None),
-            SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=None),
+            dataclasses.replace(SystemConfig(), snr_db=math.inf),
+            SystemConfig(geometry=ArrayGeometry.upa(8, 16), n_users=8, snr_db=math.inf),
         ],
         ids=["canonical", "canonical-noiseless", "planar-8x16-noiseless"],
     )
@@ -757,7 +758,7 @@ class TestRowStructuredBaseline:
 
 class TestConventionalOmpBaseline:
     def test_noiseless_recovery(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=64)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=64)
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_conventional_omp(inp)
         npt.assert_array_equal(report.col_support, truth.col_support)
@@ -774,7 +775,7 @@ class TestConventionalOmpBaseline:
 
 class TestOracleLs:
     def test_noiseless_machine_precision(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf)
         _, _, truth, _, inp = build_trial(cfg)
         report = estimate_oracle_ls(inp, truth)
         assert nmse_linear(dense(report.cols, report.values, truth.n_bs), truth.H) < 1e-20

@@ -28,14 +28,13 @@ from risce.harness import (
     SweepResult,
     _aligned,
     emit_results,
-    load_results,
     nmse_linear,
     run_sweep,
     run_trial,
     trial_rng,
 )
 from risce.sensing import GroundTruth
-from util import same_draw
+from util import load_results, same_draw
 
 
 def small_config(**overrides):
@@ -221,7 +220,7 @@ class TestRunTrial:
             assert all(result.nmse_lin[n] >= floor for n in others)
 
     def test_noiseless_long_pilots_all_estimators_precise(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None, n_pilots=128)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf, n_pilots=128)
         result = run_trial(cfg, trial_index=0)
         assert all(lin < 1e-6 for lin in result.nmse_lin.values())  # below -60 dB
 
@@ -289,12 +288,22 @@ class TestRunSweep:
             for name in cfg.estimators:
                 assert result.cells[(value, name)].n_trials == cfg.trials
 
-    def test_none_on_the_snr_axis_is_the_noiseless_inf_point(self, tmp_path):
+    def test_inf_is_the_noiseless_point_and_none_is_rejected(self, tmp_path, monkeypatch):
         cfg = small_config(trials=2)
-        result = run_sweep(cfg, "snr", [None, 0.0])
+        with pytest.raises(ValueError) as info:
+            run_sweep(cfg, "snr", [None, 0.0])
+        assert str(info.value) == "snr_db must be a real number, got None"
+        simulate, variances = harness.simulate_measurements, []
+
+        def recorded(*args):
+            measurements = simulate(*args)
+            variances.append(measurements.noise_variance)
+            return measurements
+
+        monkeypatch.setattr(harness, "simulate_measurements", recorded)
+        result = run_sweep(cfg, "snr", [math.inf, 0.0])
         assert result.values == [0.0, math.inf]
-        assert result == run_sweep(cfg, "snr", [0.0, math.inf])
-        assert run_sweep(cfg, "snr", [None, math.inf]).values == [math.inf]
+        assert min(variances[:2]) > 0.0 and variances[2:] == [0.0, 0.0]  # 0 dB, then inf
         path = tmp_path / "snr.csv"
         emit_results(result, path)
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
@@ -324,7 +333,9 @@ class TestRunSweep:
         result = run_sweep(cfg, "snr", [-10.0, 10.0])
         assert result.cells[(10.0, "oracle_ls")].mean_db < result.cells[(-10.0, "oracle_ls")].mean_db
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("-inf"), True, "5", 4000.0, -1600.0]
+    )
     def test_bad_snr_rejected_before_any_trial(self, bad, monkeypatch):
         def no_trials(*args, **kwargs):
             raise AssertionError("a trial ran")
@@ -339,7 +350,7 @@ class TestRunSweep:
             ("pilot_length", [32.7, True], "n_pilots must be a positive integer, got 32.7"),
             ("pilot_length", [16, True], "n_pilots must be a positive integer, got True"),
             ("pilot_length", [16.0], "n_pilots must be a positive integer, got 16.0"),
-            ("snr", [0.0, "5"], "snr_db must be a number, +inf or None, got '5'"),
+            ("snr", [0.0, "5"], "snr_db must be a real number, got '5'"),
         ],
     )
     def test_axis_values_checked_as_given(self, axis, values, message, monkeypatch):
@@ -420,7 +431,7 @@ EDGE_GRID = [
         (1, 4),
         ((1, 1), (1, 8), (8, 8)),
         (1, 8),
-        (0.0, None),
+        (0.0, math.inf),
     )
 ]
 
@@ -691,7 +702,7 @@ def test_public_surface():
         "emit_results", "estimate_common_offsets", "estimate_conventional_omp",
         "estimate_oracle_ls", "estimate_row_structured", "estimate_triple_structured",
         "extract_ground_truth", "generate_channels", "generate_phase_schedule",
-        "joint_column_support", "load_results", "ls_solve", "make_sensing_setup",
+        "joint_column_support", "ls_solve", "make_sensing_setup",
         "nmse_linear", "offset_structured_somp", "run_sweep", "run_trial", "shift_indices",
         "signed_shift", "simulate_measurements", "top_l_indices",
     }

@@ -2,6 +2,7 @@
 ground-truth sparsity extraction."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -399,7 +400,7 @@ class TestExtractGroundTruth:
 
 class TestSimulateMeasurements:
     def test_noiseless_is_exact(self):
-        cfg = dataclasses.replace(SystemConfig(), snr_db=None)
+        cfg = dataclasses.replace(SystemConfig(), snr_db=math.inf)
         _, setup, truth, meas, _ = build_trial(cfg)
         assert meas.noise_variance == 0.0
         for k in range(cfg.n_users):
@@ -424,7 +425,7 @@ class TestSimulateMeasurements:
         [
             SystemConfig(),
             SystemConfig(geometry=ArrayGeometry.upa(16, 16), n_pilots=64),
-            SystemConfig(snr_db=None),
+            SystemConfig(snr_db=math.inf),
             SystemConfig(n_users=1, snr_db=-5.0),
         ],
         ids=["ula128", "upa16x16", "noiseless", "one-user"],
@@ -482,8 +483,8 @@ class TestSimulateMeasurements:
 
     @pytest.mark.parametrize(
         "snr_db",
-        [float("nan"), float("-inf"), 4000.0, -4000.0, -3200.0],
-        ids=["nan", "-inf", "4000", "-4000", "-3200"],
+        [float("nan"), float("-inf"), 4000.0, -4000.0, -3200.0, -1600.0],
+        ids=["nan", "-inf", "4000", "-4000", "-3200", "-1600"],
     )
     def test_non_finite_snr_rejected_before_any_noise_draw(self, snr_db):
         _, setup, truth, _, _ = build_trial(SystemConfig())
@@ -492,6 +493,25 @@ class TestSimulateMeasurements:
         with pytest.raises(ValueError, match="snr_db"):
             simulate_measurements(truth, setup, snr_db, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("snr_db", [None, True, "5"])
+    def test_non_numbers_rejected_before_any_noise_draw(self, snr_db):
+        # None is not the noiseless spelling, and True is not 1 dB
+        _, setup, truth, _, _ = build_trial(SystemConfig())
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            simulate_measurements(truth, setup, snr_db, rng)
+        assert str(info.value) == f"snr_db must be a real number, got {snr_db!r}"
+        assert rng.bit_generator.state == state
+
+    def test_float32_snr_reads_as_the_python_float(self):
+        cfg = SystemConfig(snr_db=3.0)
+        wide = build_trial(cfg)[3]
+        narrow = build_trial(dataclasses.replace(cfg, snr_db=np.float32(3.0)))[3]
+        assert narrow.Y.tobytes() == wide.Y.tobytes()
+        assert type(narrow.noise_variance) is float
+        assert narrow.noise_variance == wide.noise_variance
 
     def test_overflowing_noise_variance_rejected_before_any_noise_draw(self):
         # -1500 dB is a valid SNR, but against this signal power the variance overflows

@@ -5,15 +5,20 @@ ramps, explicit double sums) so the package code is checked against an
 independent implementation rather than against itself.  The one exception is
 build_trial, which is harness.draw_trial itself: tests draw their trials
 exactly as the harness does, not from a copy of its seed sequence.
+load_results reads a results CSV back into typed rows: the package only
+writes them.
 """
 
 import hashlib
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 
 from risce.channel import ChannelRealization
-from risce.config import ArrayGeometry, is_noiseless, snr_ratio
+from risce.config import ArrayGeometry, snr_ratio
+from risce.harness import CSV_HEADER
 from risce.harness import draw_trial as build_trial
 
 # acceptance summary lines, printed by the conftest terminal hook
@@ -127,13 +132,14 @@ def per_user_measurements(truth, setup, snr_db, rng) -> list[np.ndarray]:
     a = setup.sensing_matrix
     signal = [a @ values for values in truth.values]
     shape = (a.shape[0], truth.n_bs)
+    ratio = snr_ratio(snr_db)
     variance = 0.0
-    if not is_noiseless(snr_db):
+    if ratio < math.inf:
         mean_power = float(np.mean([np.sum(np.abs(s) ** 2) for s in signal]))
-        variance = mean_power / (shape[0] * shape[1] * snr_ratio(snr_db))
+        variance = mean_power / (shape[0] * shape[1] * ratio)
     Y = []
     for s in signal:
-        if is_noiseless(snr_db):
+        if ratio == math.inf:
             Y_k = np.zeros(shape, dtype=complex)
         else:
             scale = np.sqrt(variance / 2.0)
@@ -224,3 +230,36 @@ def check_report(report, inp) -> None:
                 assert np.all(np.isin(rows, allowed)), (
                     f"user {k} column {c} has rows outside the shifted pattern"
                 )
+
+
+def _parse_axis(text: str) -> int | float:
+    """Inverse of harness._format_axis: integer literals (pilot lengths) as int, the rest as float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def load_results(path) -> list[dict]:
+    """Parse a results CSV back into typed rows (None where a cell errored)."""
+    text = Path(path).read_text(encoding="utf-8-sig")  # a spreadsheet may save a byte-order mark
+    lines = [(lineno, line) for lineno, line in enumerate(text.splitlines(), start=1) if line]
+    if not lines or lines[0][1] != CSV_HEADER:
+        raise ValueError(f"unrecognized results header in {path}")
+    rows = []
+    for lineno, line in lines[1:]:
+        try:
+            axis_value, estimator, nmse_field, stderr_field, trials = line.split(",")
+            rows.append(
+                {
+                    "axis": _parse_axis(axis_value),
+                    "estimator": estimator,
+                    "nmse_db": None if nmse_field == "error" else float(nmse_field),
+                    "stderr_db": None if stderr_field == "error" else float(stderr_field),
+                    "trials": int(trials),
+                }
+            )
+        except ValueError as exc:
+            message = f"{path}:{lineno}: expected a row of {CSV_HEADER!r}, got {line!r}"
+            raise ValueError(message) from exc
+    return rows
