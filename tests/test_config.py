@@ -53,11 +53,16 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="snr_db"):
             SystemConfig(snr_db=snr_db)
 
-    def test_inf_is_the_one_noiseless_spelling(self):
-        assert snr_ratio(SystemConfig(snr_db=math.inf).snr_db) == math.inf
-        with pytest.raises(ValueError) as info:
-            SystemConfig(snr_db=None)
-        assert str(info.value) == "snr_db must be a real number, got None"
+    # +inf is the one way to ask for no noise; None, once a second spelling,
+    # is rejected like any other non-number
+    @pytest.mark.parametrize("snr_db", [None, math.inf])
+    def test_noiseless_spellings(self, snr_db):
+        if snr_db is None:
+            with pytest.raises(ValueError) as info:
+                SystemConfig(snr_db=snr_db)
+            assert str(info.value) == "snr_db must be a real number, got None"
+        else:
+            assert snr_ratio(SystemConfig(snr_db=snr_db).snr_db) == math.inf
 
     @pytest.mark.parametrize("snr_db", [-30.0, 0, 40.0, -1500.0, 3082.0])
     def test_finite_snr_is_noisy(self, snr_db):
